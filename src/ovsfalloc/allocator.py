@@ -272,7 +272,8 @@ def delete_last(
             log.branch = EXIT_NO_FIT
             break
         mover = s.rightmost_of_level(x_level)
-        assert mover is not None and mover.start > gap
+        if mover is None or mover.start <= gap:
+            raise InvariantError(f"no level-{x_level} pebble right of gap {gap}")
         source = mover.start
         s.move_pebble(mover.id, gap)
         record(mover.id, Place(x_level, source), Place(x_level, gap))

@@ -25,7 +25,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .allocator import DELETE_ID, DELETE_LEVEL, INSERT, MoveLog
+from .allocator import INSERT, MoveLog
 from .model import InvariantError, Place, Situation, Violation
 
 
@@ -196,18 +196,6 @@ class CoinLedger:
         if x_level is None:
             return 0
         return required_coins(place.size, 1 << x_level)
-
-    def settle_insert(self, s_before: Situation, s_after: Situation, log: MoveLog) -> "CoinLedger":
-        if log.kind != INSERT:
-            raise ValueError(f"settle_insert called with {log.kind} log")
-        self._settle(s_after, log, self.config.insert_budget)
-        return self
-
-    def settle_delete(self, s_before: Situation, s_after: Situation, log: MoveLog) -> "CoinLedger":
-        if log.kind not in (DELETE_LEVEL, DELETE_ID):
-            raise ValueError(f"settle_delete called with {log.kind} log")
-        self._settle(s_after, log, self.config.delete_budget)
-        return self
 
     def settle(self, s_after: Situation, log: MoveLog) -> SettleInfo:
         budget = (

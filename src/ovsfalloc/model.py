@@ -15,8 +15,11 @@ pebble starts before it, otherwise *white*.  A situation is *valid* when
 * P3: no white pebble has black left and right neighbors of equal size.
 
 ``validate`` re-checks all of this (plus alignment and disjointness) from
-scratch; the query methods rely on index structures that are maintained
-incrementally and answer in O(n) or O(log k) time.
+scratch; the query methods scan or bisect one position-ordered list of
+segments, each a maximal run of contiguous equal-size pebbles.  In a
+valid situation every level holds one contiguous black run and at most
+one white pebble, so that list is O(n) long and no part of the state is
+sized by ``2**n``.
 
 A Situation is a self-contained value: instances share no state, may be
 moved freely between threads, and a single instance must not be mutated
@@ -26,12 +29,9 @@ concurrently.
 from __future__ import annotations
 
 import bisect
-from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple
-
-#: Hard cap on the tree height; the dense index structures need O(2**n) words.
-MAX_HEIGHT = 20
 
 BLACK = "black"
 WHITE = "white"
@@ -120,179 +120,143 @@ class Violation:
         return " ".join(bits)
 
 
+def validate_pebbles(seq: list[Pebble], leaves: int) -> list[Violation]:
+    """All P1/P2/P3, alignment and overlap breaches of ``seq``, a
+    position-ordered pebble list over ``leaves`` positions."""
+    out: list[Violation] = []
+    colors: list[bool] = []  # parallel: True = black
+    running_max = 0
+    covered = 0  # leaves covered so far, overlap-clamped
+    prev_end = 0
+    prev: Pebble | None = None
+    for pebble in seq:
+        if pebble.start % pebble.size:
+            out.append(Violation("alignment", (pebble.id,), pebble.place))
+        if prev is not None and pebble.start < prev_end:
+            out.append(Violation("overlap", (prev.id, pebble.id), pebble.place))
+        black = running_max <= pebble.level + 1
+        colors.append(black)
+        free_before = pebble.start - min(covered, pebble.start)
+        if free_before >= pebble.size:
+            out.append(
+                Violation(
+                    "P1",
+                    (pebble.id,),
+                    pebble.place,
+                    f"free bandwidth {free_before} >= {pebble.size}",
+                )
+            )
+        covered += max(0, min(pebble.end, leaves) - max(pebble.start, prev_end))
+        prev_end = max(prev_end, pebble.end)
+        running_max = max(running_max, pebble.level + 1)
+        prev = pebble
+    for i in range(1, len(seq)):
+        if not colors[i - 1] and not colors[i]:
+            out.append(Violation("P2", (seq[i - 1].id, seq[i].id), seq[i].place))
+    for i, pebble in enumerate(seq):
+        if colors[i]:
+            continue
+        if 0 < i < len(seq) - 1:
+            left, right = seq[i - 1], seq[i + 1]
+            if colors[i - 1] and colors[i + 1] and left.level == right.level:
+                out.append(
+                    Violation("P3", (left.id, pebble.id, right.id), pebble.place)
+                )
+    out.sort(key=lambda v: (v.place.start if v.place else 0))
+    return out
+
+
+_START = itemgetter(0)
+
+
+def _seg_end(seg: tuple[int, int, int]) -> int:
+    start, level, count = seg
+    return start + (count << level)
+
+
+def _starts(seg: tuple[int, int, int]) -> range:
+    """Starts of the pebbles of one segment, in order."""
+    start, level, count = seg
+    return range(start, start + (count << level), 1 << level)
+
+
 class Situation:
     """Mutable allocator state over ``2**n`` leaf positions.
 
-    Pebbles are kept in three synchronized indexes: a start-ordered list
-    (neighbor queries), per-level start lists (rightmost-of-level queries)
-    and two flat segment trees over the leaves:
-
-    * a free-block tree answering "first free aligned place of level l"
-      and "is this place entirely free",
-    * a start-keyed max-level tree answering prefix-maximum queries, which
-      is all that rule C needs to color a pebble.
+    ``_peb`` maps ids to pebbles and ``_at`` starts to ids.  Positions
+    live in ``_segs``, a start-ordered list of ``(start, level, count)``
+    segments: ``count`` contiguous pebbles of ``level``, the first at
+    ``start``, with no equal-level pebble touching either end.  Every
+    positional query is a scan or bisection of that one list; rule C
+    colors a pebble by a prefix-max scan over it.
     """
 
     def __init__(self, n: int):
-        if not 0 <= n <= MAX_HEIGHT:
-            raise ValueError(f"tree height must be in [0, {MAX_HEIGHT}], got {n}")
+        if n < 0:
+            raise ValueError(f"tree height must be >= 0, got {n}")
         self.n = n
         self.leaves = 1 << n
         self._peb: dict[int, Pebble] = {}
         self._at: dict[int, int] = {}  # start -> pebble id
-        self._starts: list[int] = []
-        self._levels: list[list[int]] = [[] for _ in range(n + 1)]
+        self._segs: list[tuple[int, int, int]] = []
         self._occupied = 0
         self._next_id = 1
-        lv = self.leaves
-        # free-block tree: mf[v] = largest fully free aligned block inside v
-        self._mf = array("q", bytes(16 * lv))
-        self._recompute_mf_full()
-        self._occ = bytearray(2 * lv)
-        # start-keyed tree: ml[leaf] = pebble level + 1 at that start, else 0
-        self._ml = array("q", bytes(16 * lv))
-        # Fenwick over starts holding pebble sizes (prefix-occupancy sums)
-        self._fen = array("q", bytes(8 * (lv + 1)))
 
     # ------------------------------------------------------------------
-    # low-level index maintenance
+    # segment list maintenance
 
-    def _recompute_mf_full(self) -> None:
-        mf = self._mf
-        lv = self.leaves
-        for i in range(lv, 2 * lv):
-            mf[i] = 1
-        size = 2
-        start = lv >> 1
-        while start >= 1:
-            for v in range(start, start * 2):
-                mf[v] = size
-            size <<= 1
-            start >>= 1
-
-    def _node(self, level: int, start: int) -> int:
-        return (self.leaves >> level) + (start >> level)
-
-    def _mf_pull(self, v: int) -> None:
-        mf = self._mf
-        leaves = self.leaves
-        v >>= 1
-        while v >= 1:
-            size = leaves >> (v.bit_length() - 1)
-            left = mf[2 * v]
-            right = mf[2 * v + 1]
-            half = size >> 1
-            mf[v] = size if (left == half and right == half) else max(left, right)
-            v >>= 1
-
-    def _occupy(self, level: int, start: int) -> None:
-        v = self._node(level, start)
-        if self._mf[v] != (1 << level):
-            raise InvariantError(f"place {Place(level, start)} is not free")
-        self._occ[v] = 1
-        self._mf[v] = 0
-        self._mf_pull(v)
-
-    def _release(self, level: int, start: int) -> None:
-        v = self._node(level, start)
-        self._occ[v] = 0
-        self._mf[v] = 1 << level
-        self._mf_pull(v)
-
-    def block_free(self, level: int, start: int) -> bool:
-        """True iff the aligned place ``[start, start + 2**level)`` holds no
-        pebble and no part of one."""
-        if start % (1 << level) or start + (1 << level) > self.leaves:
-            return False
-        v = self._node(level, start)
-        if self._mf[v] != (1 << level):
-            return False
-        v >>= 1
-        while v >= 1:  # stale mf values hide under occupied ancestors
-            if self._occ[v]:
-                return False
-            v >>= 1
-        return True
-
-    def _ml_set(self, pos: int, value: int) -> None:
-        ml = self._ml
-        v = self.leaves + pos
-        ml[v] = value
-        v >>= 1
-        while v >= 1:
-            ml[v] = max(ml[2 * v], ml[2 * v + 1])
-            v >>= 1
-
-    def _prefix_max(self, p: int) -> int:
-        """Max of ``level + 1`` over pebbles starting at positions < p."""
-        if p <= 0:
-            return 0
-        ml = self._ml
-        lo = self.leaves
-        hi = self.leaves + min(p, self.leaves)
-        res = 0
-        while lo < hi:
-            if lo & 1:
-                if ml[lo] > res:
-                    res = ml[lo]
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                if ml[hi] > res:
-                    res = ml[hi]
-            lo >>= 1
-            hi >>= 1
-        return res
-
-    def _first_start_above(self, level: int) -> int | None:
-        """Start of the leftmost pebble of level > ``level``, or None."""
-        ml = self._ml
-        want = level + 2
-        if ml[1] < want:
-            return None
-        v = 1
-        while v < self.leaves:
-            v = 2 * v if ml[2 * v] >= want else 2 * v + 1
-        return v - self.leaves
-
-    def _fen_add(self, pos: int, delta: int) -> None:
-        fen = self._fen
-        i = pos + 1
-        top = self.leaves
-        while i <= top:
-            fen[i] += delta
-            i += i & (-i)
-
-    def _fen_sum(self, count: int) -> int:
-        fen = self._fen
-        s = 0
-        i = min(count, self.leaves)
-        while i > 0:
-            s += fen[i]
-            i -= i & (-i)
-        return s
+    def _slot(self, start: int, end: int) -> int:
+        """Index of the first segment starting after ``start``, or -1 when
+        some pebble covers part of ``[start, end)``."""
+        segs = self._segs
+        i = bisect.bisect_right(segs, start, key=_START)
+        if i and _seg_end(segs[i - 1]) > start:
+            return -1
+        if i < len(segs) and segs[i][0] < end:
+            return -1
+        return i
 
     def _install(self, pebble: Pebble) -> None:
-        self._occupy(pebble.level, pebble.start)
+        level, start = pebble.level, pebble.start
+        end = start + (1 << level)
+        segs = self._segs
+        i = self._slot(start, end)
+        if i < 0:
+            raise InvariantError(f"place {pebble.place} is not free")
+        lo, hi, first, count = i, i, start, 1  # segs[lo:hi] merge into one
+        if i and segs[i - 1][1] == level and _seg_end(segs[i - 1]) == start:
+            lo, first, count = i - 1, segs[i - 1][0], segs[i - 1][2] + 1
+        if i < len(segs) and segs[i][1] == level and segs[i][0] == end:
+            hi, count = i + 1, count + segs[i][2]
+        segs[lo:hi] = [(first, level, count)]
         self._peb[pebble.id] = pebble
-        self._at[pebble.start] = pebble.id
-        bisect.insort(self._starts, pebble.start)
-        bisect.insort(self._levels[pebble.level], pebble.start)
-        self._ml_set(pebble.start, pebble.level + 1)
-        self._fen_add(pebble.start, pebble.size)
-        self._occupied += pebble.size
+        self._at[start] = pebble.id
+        self._occupied += 1 << level
 
     def _uninstall(self, pid: int) -> Pebble:
         pebble = self._peb.pop(pid)
         del self._at[pebble.start]
-        self._starts.pop(bisect.bisect_left(self._starts, pebble.start))
-        lst = self._levels[pebble.level]
-        lst.pop(bisect.bisect_left(lst, pebble.start))
-        self._ml_set(pebble.start, 0)
-        self._fen_add(pebble.start, -pebble.size)
-        self._release(pebble.level, pebble.start)
-        self._occupied -= pebble.size
+        level, start = pebble.level, pebble.start
+        segs = self._segs
+        i = bisect.bisect_right(segs, start, key=_START) - 1
+        first, _, count = segs[i]
+        left = (start - first) >> level  # pebbles of the segment before this one
+        parts = []
+        if left:
+            parts.append((first, level, left))
+        if left + 1 < count:
+            parts.append((pebble.end, level, count - left - 1))
+        segs[i : i + 1] = parts
+        self._occupied -= 1 << level
         return pebble
+
+    def block_free(self, level: int, start: int) -> bool:
+        """True iff the aligned place ``[start, start + 2**level)`` holds no
+        pebble and no part of one."""
+        size = 1 << level
+        if start % size or start < 0 or start + size > self.leaves:
+            return False
+        return self._slot(start, start + size) >= 0
 
     # ------------------------------------------------------------------
     # construction and bookkeeping
@@ -357,14 +321,9 @@ class Situation:
         other.leaves = self.leaves
         other._peb = {pid: Pebble(p.id, p.level, p.start) for pid, p in self._peb.items()}
         other._at = dict(self._at)
-        other._starts = list(self._starts)
-        other._levels = [list(l) for l in self._levels]
+        other._segs = list(self._segs)
         other._occupied = self._occupied
         other._next_id = self._next_id
-        other._mf = array("q", self._mf)
-        other._occ = bytearray(self._occ)
-        other._ml = array("q", self._ml)
-        other._fen = array("q", self._fen)
         return other
 
     # ------------------------------------------------------------------
@@ -386,20 +345,19 @@ class Situation:
         """Pebbles in position order."""
         at = self._at
         peb = self._peb
-        for start in self._starts:
-            yield peb[at[start]]
+        for seg in self._segs:
+            for start in _starts(seg):
+                yield peb[at[start]]
 
     def to_pairs(self) -> tuple[tuple[int, int], ...]:
         """Canonical ``(start, level)`` view, position ordered."""
-        at = self._at
-        peb = self._peb
-        return tuple((s, peb[at[s]].level) for s in self._starts)
+        return tuple((start, seg[1]) for seg in self._segs for start in _starts(seg))
 
     def level_count(self, level: int) -> int:
-        return len(self._levels[level])
+        return sum(count for _, lv, count in self._segs if lv == level)
 
     def level_starts(self, level: int) -> tuple[int, ...]:
-        return tuple(self._levels[level])
+        return tuple(start for seg in self._segs if seg[1] == level for start in _starts(seg))
 
     def pebble_at(self, start: int) -> Pebble | None:
         pid = self._at.get(start)
@@ -407,37 +365,52 @@ class Situation:
 
     def pebble_before(self, pos: int) -> Pebble | None:
         """Nearest pebble starting strictly left of ``pos``."""
-        i = bisect.bisect_left(self._starts, pos)
+        segs = self._segs
+        i = bisect.bisect_left(segs, pos, key=_START)
         if i == 0:
             return None
-        return self._peb[self._at[self._starts[i - 1]]]
+        first, level, count = segs[i - 1]
+        k = min(count - 1, (pos - 1 - first) >> level)
+        return self._peb[self._at[first + (k << level)]]
 
     def pebble_after(self, pos: int) -> Pebble | None:
         """Nearest pebble starting strictly right of ``pos``."""
-        i = bisect.bisect_right(self._starts, pos)
-        if i == len(self._starts):
+        segs = self._segs
+        i = bisect.bisect_right(segs, pos, key=_START)
+        if i:
+            first, level, count = segs[i - 1]
+            k = ((pos - first) >> level) + 1
+            if k < count:
+                return self._peb[self._at[first + (k << level)]]
+        if i == len(segs):
             return None
-        return self._peb[self._at[self._starts[i]]]
+        return self._peb[self._at[segs[i][0]]]
 
     def rightmost_of_level(self, level: int) -> Pebble | None:
-        lst = self._levels[level]
-        if not lst:
-            return None
-        return self._peb[self._at[lst[-1]]]
+        for first, lv, count in reversed(self._segs):
+            if lv == level:
+                return self._peb[self._at[first + ((count - 1) << lv)]]
+        return None
 
     def smallest_level_right(self, pos: int) -> int | None:
         """Level of the smallest pebble starting strictly right of ``pos``."""
-        for level, lst in enumerate(self._levels):
-            if lst and lst[-1] > pos:
-                return level
-        return None
+        best = None
+        for first, level, count in self._segs:
+            if (best is None or level < best) and first + ((count - 1) << level) > pos:
+                best = level
+        return best
 
     # ------------------------------------------------------------------
     # spec operations
 
     def is_black(self, pid: int) -> bool:
         pebble = self.pebble(pid)
-        return self._prefix_max(pebble.start) <= pebble.level + 1
+        for first, level, _ in self._segs:
+            if first >= pebble.start:
+                break
+            if level > pebble.level:
+                return False
+        return True
 
     def color_of(self, pid: int) -> str:
         """Rule C: black iff no strictly bigger pebble starts earlier."""
@@ -447,11 +420,12 @@ class Situation:
         """Number of free leaf positions strictly before ``pos``."""
         if not 0 <= pos <= self.leaves:
             raise RequestError(f"position {pos} out of [0, {self.leaves}]")
-        occupied = self._fen_sum(pos)
-        prev = self.pebble_before(pos)
-        if prev is not None and prev.end > pos:
-            occupied -= prev.end - pos
-        return pos - occupied
+        free = pos
+        for seg in self._segs:
+            if seg[0] >= pos:
+                break
+            free -= min(_seg_end(seg), pos) - seg[0]
+        return free
 
     def total_free_bandwidth(self) -> int:
         return self.leaves - self._occupied
@@ -460,78 +434,32 @@ class Situation:
         """Free aligned place of ``level`` with minimal start, or None."""
         if not 0 <= level <= self.n:
             raise RequestError(f"level {level} out of [0, {self.n}]")
-        target = 1 << level
-        mf = self._mf
-        if mf[1] < target:
-            return None
-        v = 1
-        size = self.leaves
-        while size > target:
-            v = 2 * v if mf[2 * v] >= target else 2 * v + 1
-            size >>= 1
-        return Place(level, (v - (self.leaves >> level)) << level)
+        size = 1 << level
+        cursor = 0  # start of the free run ending at the next segment
+        for seg in self._segs:
+            start = (cursor + size - 1) & -size
+            if start + size <= seg[0]:
+                return Place(level, start)
+            cursor = _seg_end(seg)
+        start = (cursor + size - 1) & -size
+        return Place(level, start) if start + size <= self.leaves else None
 
     def closing_position(self, level: int) -> int | None:
         """Position after the last black pebble of ``level``; if there is
         none, the start of the first pebble of a bigger level; else None."""
         if not 0 <= level <= self.n:
             raise RequestError(f"level {level} out of [0, {self.n}]")
-        lst = self._levels[level]
-        lo, hi = 0, len(lst)
-        while lo < hi:  # black pebbles of a level form a prefix of its list
-            mid = (lo + hi) // 2
-            if self._prefix_max(lst[mid]) <= level + 1:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0:
-            return lst[lo - 1] + (1 << level)
-        return self._first_start_above(level)
+        last_black = None
+        for seg in self._segs:
+            if seg[1] > level:  # every later pebble of ``level`` is white
+                return seg[0] if last_black is None else last_black
+            if seg[1] == level:
+                last_black = _seg_end(seg)
+        return last_black
 
     def validate(self) -> list[Violation]:
         """All P1/P2/P3, alignment and overlap breaches, position ordered."""
-        out: list[Violation] = []
-        seq = list(self.pebbles())
-        colors: list[bool] = []  # parallel: True = black
-        running_max = 0
-        covered = 0  # leaves covered so far, overlap-clamped
-        prev_end = 0
-        prev: Pebble | None = None
-        for pebble in seq:
-            if pebble.start % pebble.size:
-                out.append(Violation("alignment", (pebble.id,), pebble.place))
-            if prev is not None and pebble.start < prev_end:
-                out.append(Violation("overlap", (prev.id, pebble.id), pebble.place))
-            black = running_max <= pebble.level + 1
-            colors.append(black)
-            free_before = pebble.start - min(covered, pebble.start)
-            if free_before >= pebble.size:
-                out.append(
-                    Violation(
-                        "P1",
-                        (pebble.id,),
-                        pebble.place,
-                        f"free bandwidth {free_before} >= {pebble.size}",
-                    )
-                )
-            covered += max(0, min(pebble.end, self.leaves) - max(pebble.start, prev_end))
-            prev_end = max(prev_end, pebble.end)
-            running_max = max(running_max, pebble.level + 1)
-            prev = pebble
-        for i in range(1, len(seq)):
-            if not colors[i - 1] and not colors[i]:
-                out.append(Violation("P2", (seq[i - 1].id, seq[i].id), seq[i].place))
-        for i, pebble in enumerate(seq):
-            if colors[i]:
-                continue
-            if 0 < i < len(seq) - 1:
-                left, right = seq[i - 1], seq[i + 1]
-                if colors[i - 1] and colors[i + 1] and left.level == right.level:
-                    out.append(
-                        Violation("P3", (left.id, pebble.id, right.id), pebble.place)
-                    )
-        out.sort(key=lambda v: (v.place.start if v.place else 0))
-        return out
+        return validate_pebbles(list(self.pebbles()), self.leaves)
 
     # ------------------------------------------------------------------
     # snapshot text format
@@ -558,6 +486,8 @@ def parse_snapshot(text: str) -> Situation:
                 header = int(line[2:])
             except ValueError:
                 raise SnapshotError(f"line {lineno}: bad height {line[2:]!r}") from None
+            if header < 0:
+                raise SnapshotError(f"line {lineno}: negative height {header}")
             situation = Situation(header)
             continue
         try:

@@ -130,7 +130,7 @@ def replay(
         try:
             log = _dispatch(s, request, allocator, options)
         except AllocationError as exc:
-            raise ReplayError(index, f"{type(exc).__name__}: {exc}") from exc
+            raise _request_error(index, exc) from exc
         stats.m += 1
         cost = log.cost(count_relabel)
         stats.total_moves += cost
@@ -146,16 +146,19 @@ def replay(
                 raise ReplayError(index, f"invariant broken: {violations[0]}")
         p4_ok = True
         if ledger is not None:
-            info = ledger.settle(s, log)
+            audited = index % audit_every == 0 or index == len(trace.requests)
+            try:
+                info = ledger.settle(s, log)
+                failures = ledger.audit(s) if audited else []
+            except AllocationError as exc:
+                raise _request_error(index, exc) from exc
             stats.total_injected += info.injected
             stats.total_consumed += info.consumed
             stats.max_injected = max(stats.max_injected, info.injected)
             stats.budget_findings += len(info.findings)
-            if index % audit_every == 0 or index == len(trace.requests):
-                failures = ledger.audit(s)
-                if failures:
-                    stats.p4_failures += len(failures)
-                    p4_ok = False
+            if failures:
+                stats.p4_failures += len(failures)
+                p4_ok = False
         if collect_logs:
             if log_format == "jsonl":
                 entry = {
@@ -186,9 +189,16 @@ def replay(
         if violations:
             raise ReplayError(len(trace.requests), f"final state invalid: {violations[0]}")
     if ledger is not None:
-        ledger.balance_check()
+        try:
+            ledger.balance_check()
+        except AllocationError as exc:
+            raise _request_error(len(trace.requests), exc) from exc
     stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     return ReplayResult(stats, s, ledger, lines)
+
+
+def _request_error(index: int, exc: AllocationError) -> ReplayError:
+    return ReplayError(index, f"{type(exc).__name__}: {exc}")
 
 
 def _dispatch(s, request, allocator, options) -> MoveLog:

@@ -117,6 +117,8 @@ def parse_trace(text: str) -> Trace:
                 n = int(line[2:])
             except ValueError:
                 raise TraceError(f"bad height {line[2:]!r}", line=lineno) from None
+            if n < 0:
+                raise TraceError(f"negative height {n}", line=lineno)
             continue
         parts = line.split()
         try:

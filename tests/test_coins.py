@@ -53,9 +53,8 @@ def test_audit_needs_coin_before_bigger_pebble():
 def test_settle_insert_into_empty_injects_nothing():
     s = Situation(3)
     ledger = CoinLedger(s)
-    before = s.copy()
     log = insert(s, 1)
-    ledger.settle_insert(before, s, log)
+    ledger.settle(s, log)
     assert ledger.injected_last == 0
     assert ledger.audit(s) == []
 
@@ -63,9 +62,8 @@ def test_settle_insert_into_empty_injects_nothing():
 def test_settle_insert_rotate_needs_no_coins():
     s = build(4, [(4, 0), (1, 4)])
     ledger = CoinLedger(s)
-    before = s.copy()
     log = insert(s, 2)
-    ledger.settle_insert(before, s, log)
+    ledger.settle(s, log)
     assert ledger.injected_last == 0
     assert ledger.balance() == 0
     assert ledger.audit(s) == []
@@ -77,7 +75,6 @@ def test_settle_insert_funds_half_size_gap_left_of_moved_pebble():
     s = build(6, [(8, 0), (8, 8), (16, 16), (1, 32)])
     ledger = CoinLedger(s)
     assert ledger.balance() == 0
-    before = s.copy()
     log = insert(s, 1)
     info = ledger.settle(s, log)
     assert info.injected == 1
@@ -88,7 +85,6 @@ def test_settle_insert_funds_half_size_gap_left_of_moved_pebble():
 def test_settle_delete_no_iteration_funds_new_gap():
     s = build(2, [(1, 0), (1, 1), (2, 2)])
     ledger = CoinLedger(s)
-    before = s.copy()
     log = delete_last(s, 0)
     info = ledger.settle(s, log)
     assert log.iterations == 0
@@ -100,7 +96,6 @@ def test_settle_delete_no_iteration_funds_new_gap():
 def test_settle_delete_consumes_one_coin_per_iteration():
     s = build(3, [(1, 0), (2, 2), (2, 4)])
     ledger = CoinLedger(s)
-    before = s.copy()
     log = delete_last(s, 0)
     info = ledger.settle(s, log)
     assert log.iterations == 1 and info.consumed == 1
@@ -115,16 +110,6 @@ def test_settle_delete_of_only_pebble_is_free():
     info = ledger.settle(s, log)
     assert info.injected == 0 and info.consumed == 0
     assert ledger.audit(s) == []
-
-
-def test_settle_kind_checks():
-    s = Situation(2)
-    ledger = CoinLedger(s)
-    before = s.copy()
-    log = insert(s, 0)
-    with pytest.raises(ValueError):
-        ledger.settle_delete(before, s, log)
-    ledger.settle_insert(before, s, log)
 
 
 def test_budget_findings_reported_not_fatal():

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovsfalloc.model import (
     BLACK,
     WHITE,
+    Pebble,
     Place,
     RequestError,
     Situation,
     SnapshotError,
     parse_snapshot,
+    validate_pebbles,
 )
 from ovsfalloc.oracle import (
     scan_closing_position,
@@ -102,19 +106,17 @@ def test_validate_clean_mixed():
 
 
 def test_validate_overlap_reported():
-    # overlap is unrepresentable through the public interface, so inject
-    # a rogue entry into the position indexes only
-    import bisect
-
-    from ovsfalloc.model import Pebble
-
-    s, _ = build(5, [(4, 0), (4, 4), (8, 8), (8, 16)])
-    rogue = Pebble(99, 0, 12)
-    s._peb[99] = rogue
-    s._at[12] = 99
-    bisect.insort(s._starts, 12)
-    bisect.insort(s._levels[0], 12)
-    assert any(v.kind == "overlap" and 99 in v.pebbles for v in s.validate())
+    # overlap is unrepresentable through Situation, so hand the validator
+    # a position-ordered list with a rogue pebble inside the 8@8 place
+    seq = [
+        Pebble(1, 2, 0),
+        Pebble(2, 2, 4),
+        Pebble(3, 3, 8),
+        Pebble(99, 0, 12),
+        Pebble(4, 3, 16),
+    ]
+    out = validate_pebbles(seq, 32)
+    assert any(v.kind == "overlap" and 99 in v.pebbles for v in out)
 
 
 def test_validate_p2_pair():
@@ -172,18 +174,70 @@ def test_copy_is_independent():
 def test_height_bounds():
     with pytest.raises(ValueError):
         Situation(-1)
-    with pytest.raises(ValueError):
-        Situation(64)
+    big = Situation(64)
+    top = big.place_pebble(64, 0)
+    assert big.to_pairs() == ((0, 64),) and big.validate() == []
+    assert big.total_free_bandwidth() == 0
+    big.remove_pebble(top.id)
+    assert big.first_free_place(64) == Place(64, 0)
     assert Situation(0).total_free_bandwidth() == 1
+
+
+def _start(pebble):
+    return None if pebble is None else pebble.start
+
+
+def _check_queries_against_scans(s):
+    pairs = s.to_pairs()
+    assert len(s) == len(pairs)
+    assert all(s.pebble_at(start).level == level for start, level in pairs)
+    for level in range(s.n + 1):
+        size = 1 << level
+        assert s.first_free_place(level) == scan_first_free_place(s, level)
+        assert s.closing_position(level) == scan_closing_position(s, level)
+        starts = tuple(start for start, lv in pairs if lv == level)
+        assert s.level_starts(level) == starts
+        assert s.level_count(level) == len(starts)
+        assert _start(s.rightmost_of_level(level)) == (starts[-1] if starts else None)
+        for start in range(s.leaves + 1):
+            free = (
+                start % size == 0
+                and start + size <= s.leaves
+                and not any(st < start + size and start < st + (1 << lv) for st, lv in pairs)
+            )
+            assert s.block_free(level, start) == free
+    for pos in range(s.leaves + 1):
+        assert s.free_bandwidth_before(pos) == scan_free_before(s, pos)
+        before = [start for start, _ in pairs if start < pos]
+        after = [start for start, _ in pairs if start > pos]
+        assert _start(s.pebble_before(pos)) == (before[-1] if before else None)
+        assert _start(s.pebble_after(pos)) == (after[0] if after else None)
+        right = [level for start, level in pairs if start > pos]
+        assert s.smallest_level_right(pos) == (min(right) if right else None)
+    biggest = -1
+    for start, level in pairs:
+        assert s.is_black(s.pebble_at(start).id) == (biggest <= level)
+        biggest = max(biggest, level)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_queries_agree_with_scans_on_random_states(seed):
     trace = gen_random_trace(5, 60, seed=seed, insert_ratio=0.6)
-    s = replay(trace, audit=False).situation
-    for level in range(s.n + 1):
-        assert s.first_free_place(level) == scan_first_free_place(s, level)
-        assert s.closing_position(level) == scan_closing_position(s, level)
-    for pos in range(s.leaves + 1):
-        assert s.free_bandwidth_before(pos) == scan_free_before(s, pos)
+    _check_queries_against_scans(replay(trace, audit=False).situation)
+    # arbitrary, mostly invalid layouts: segments split and merge anywhere
+    rng = random.Random(seed)
+    s = Situation(5)
+    for _ in range(60):
+        level = rng.randint(0, 3)
+        start = rng.randrange(0, s.leaves, 1 << level)
+        if len(s) and rng.random() < 0.3:
+            victim = s.pebble(rng.choice([p.id for p in s.pebbles()]))
+            target = start - start % victim.size
+            if rng.random() < 0.5:
+                s.remove_pebble(victim.id)
+            elif s.block_free(victim.level, target):
+                s.move_pebble(victim.id, target)
+        elif s.block_free(level, start):
+            s.place_pebble(level, start)
+    _check_queries_against_scans(s)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from ovsfalloc.cli import main
-from ovsfalloc.model import Situation
+from ovsfalloc.coins import CoinLedger
+from ovsfalloc.model import InvariantError, Situation
 from ovsfalloc.render import render
 from ovsfalloc.replay import ReplayError, replay
 from ovsfalloc.workloads import Trace, gen_cascade_trace, gen_random_trace, parse_trace
@@ -60,6 +62,42 @@ def test_count_relabel_switch():
     assert counted.stats.relabels == 1
 
 
+# sha256 of each replay's request lines followed by its stat lines; a
+# change to any move, coin line or statistic on these traces must be
+# deliberate and update the digest
+PINNED_TRACES = {
+    "by-id12": lambda: gen_random_trace(12, 5000, seed=4, insert_ratio=0.6, by_id=True),
+    "cascade12": lambda: gen_cascade_trace(12, 5000),
+    "random8": lambda: gen_random_trace(8, 5000, seed=3, insert_ratio=0.6),
+}
+PINNED = {
+    ("by-id12", "paper"): "cb7ddc49cace1f08516120a7e404fd1e550493ef51d3ef5add74b0fae018bc61",
+    ("by-id12", "baseline"): "cf2041d41736e65837e964a436fea3f11d761122a23be61502ecbc428bc71410",
+    ("cascade12", "paper"): "fd9bbc001bdc0d81a5a47cc3ba932c4b490145bef9b6800134c47beb4e97331e",
+    ("cascade12", "baseline"): "d0ab463943c016428158c5431339f352641fa1bd0fcbebe019dd4f3de917b934",
+    ("random8", "paper"): "78ae5e6c5482273f8456b6c02f69c2a1043859f5a2ea0da760f84736536e1d3d",
+    ("random8", "baseline"): "2abad25b85dbd0abe91f9aae61b83936dff78392ff06750bffcc34d4892f0bd2",
+}
+
+
+@pytest.mark.parametrize("name,allocator", sorted(PINNED))
+def test_replay_output_pinned(name, allocator):
+    res = replay(PINNED_TRACES[name](), allocator=allocator, collect_logs=True)
+    text = "\n".join(res.request_lines + res.stats.stat_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name, allocator]
+
+
+@pytest.mark.parametrize("method", ["settle", "audit"])
+def test_ledger_errors_cite_request_index(tmp_path, capsys, monkeypatch, method):
+    def broken(self, *args):
+        raise InvariantError("ledger out of step")
+
+    monkeypatch.setattr(CoinLedger, method, broken)
+    path = _write(tmp_path, "t.trace", "n=3\nI 0\nI 1\n")
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err == "error: request 1: InvariantError: ledger out of step\n"
+
+
 def test_stat_lines_deterministic_and_exclude_wall_time():
     trace = gen_random_trace(5, 200, seed=3, insert_ratio=0.6)
     a = replay(trace)
@@ -110,6 +148,22 @@ def test_cli_run_input_errors(tmp_path, capsys):
     assert main(["run", bad]) == 2
     err = capsys.readouterr().err
     assert "request 1" in err
+
+
+def test_cli_rejects_negative_heights(tmp_path, capsys):
+    trace = _write(tmp_path, "neg.trace", "# comment\nn=-1\nI 0\n")
+    assert main(["run", trace]) == 2
+    assert capsys.readouterr().err == "error: line 2: negative height -1\n"
+    snap = _write(tmp_path, "neg.snap", "n=-2\n")
+    assert main(["render", snap]) == 2
+    assert capsys.readouterr().err == "error: line 1: negative height -2\n"
+
+
+def test_cli_run_tall_tree(tmp_path, capsys):
+    path = _write(tmp_path, "tall.trace", "n=25\nI 25\nD 25\nI 0\nI 24\n")
+    assert main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert "stat.m=4" in out and "stat.p4_failures=0" in out
 
 
 def test_cli_verify_pass_and_mutation_fail(capsys):
