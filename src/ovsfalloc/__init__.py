@@ -1,6 +1,6 @@
 """Online aligned-bandwidth (OVSF / buddy) allocator with constant
-amortized reallocations, a coin-ledger auditor, a sorted baseline and a
-verification harness."""
+amortized reallocations, a potential-function certificate of that bound,
+a sorted baseline and a verification harness."""
 
 from .allocator import (
     AllocatorOptions,

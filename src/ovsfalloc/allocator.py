@@ -79,7 +79,6 @@ class MoveLog:
     placed: tuple[int, Place] | None = None
     moved: list[tuple[int, Place, Place]] = field(default_factory=list)
     removed: int | None = None
-    removed_place: Place | None = None
     relabel: tuple[int, int] | None = None
     iterations: int = 0
     swaps: int = 0
@@ -89,20 +88,6 @@ class MoveLog:
     def cost(self, count_relabel: bool = False) -> int:
         extra = 1 if (count_relabel and self.relabel is not None) else 0
         return len(self.moved) + extra
-
-    def freed_places(self) -> list[Place]:
-        """Places vacated by this request (for the coin auditor)."""
-        out = [old for _, old, _ in self.moved]
-        if self.removed_place is not None:
-            out.append(self.removed_place)
-        return out
-
-    def taken_places(self) -> list[Place]:
-        """Places newly covered by this request."""
-        out = [new for _, _, new in self.moved]
-        if self.placed is not None:
-            out.append(self.placed[1])
-        return out
 
     def op_token(self) -> str:
         if self.kind == INSERT:
@@ -248,7 +233,6 @@ def delete_last(
         raise RequestError(f"no pebble of level {level}")
     log = MoveLog(DELETE_LEVEL, level=level)
     log.removed = victim.id
-    log.removed_place = victim.place
     s.remove_pebble(victim.id)
     gap = victim.start
 

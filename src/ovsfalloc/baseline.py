@@ -69,7 +69,6 @@ def baseline_delete(s: Situation, level: int) -> MoveLog:
         raise RequestError(f"no pebble of level {level}")
     log = MoveLog(DELETE_LEVEL, level=level)
     log.removed = victim.id
-    log.removed_place = victim.place
     s.remove_pebble(victim.id)
     prev_end = 0
     for lv in range(s.n + 1):

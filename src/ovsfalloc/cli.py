@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip per-request validation (final state is still checked)",
     )
     p_run.add_argument(
-        "--no-audit", action="store_true", help="disable the coin ledger"
+        "--no-audit", action="store_true", help="disable the coin certificate"
     )
     p_run.add_argument(
         "--audit-every",
@@ -113,7 +113,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
+    if args.audit_every < 1:
+        return _usage_error(f"--audit-every must be >= 1, got {args.audit_every}")
+    if args.budget is not None and args.budget < 0:
+        return _usage_error(f"--budget must be >= 0, got {args.budget}")
+    config = None if args.budget is None else CoinConfig(args.budget)
     try:
         with open(args.trace, encoding="utf-8") as fh:
             trace = parse_trace(fh.read())
@@ -123,14 +133,13 @@ def _cmd_run(args) -> int:
     except TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = CoinConfig(args.budget, args.budget) if args.budget else None
     try:
         result = replay(
             trace,
             allocator=args.allocator,
             validate_each=not args.no_validate,
             audit=not args.no_audit,
-            audit_every=max(1, args.audit_every),
+            audit_every=args.audit_every,
             count_relabel=args.count_relabel,
             coin_config=config,
             collect_logs=args.log,
@@ -152,7 +161,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     options = _MUTATIONS.get(args.mutate) if args.mutate else None
-    config = CoinConfig(args.budget, args.budget) if args.budget else None
+    if args.budget is not None and args.budget < 0:
+        return _usage_error(f"--budget must be >= 0, got {args.budget}")
+    config = None if args.budget is None else CoinConfig(args.budget)
     report = exhaustive_verify(args.height, args.depth, options=options, config=config)
     if args.format == "jsonl":
         print(

@@ -430,6 +430,18 @@ class Situation:
     def total_free_bandwidth(self) -> int:
         return self.leaves - self._occupied
 
+    def free_runs(self) -> list[tuple[int, int]]:
+        """Maximal free runs ``(start, end)``, in position order."""
+        runs = []
+        cursor = 0  # end of the segment before ``seg``
+        for seg in self._segs:
+            if seg[0] > cursor:
+                runs.append((cursor, seg[0]))
+            cursor = _seg_end(seg)
+        if cursor < self.leaves:
+            runs.append((cursor, self.leaves))
+        return runs
+
     def first_free_place(self, level: int) -> Place | None:
         """Free aligned place of ``level`` with minimal start, or None."""
         if not 0 <= level <= self.n:

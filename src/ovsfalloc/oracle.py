@@ -5,7 +5,9 @@ independent of the indexed query structures, so oracle/implementation
 disagreements surface as failures.  ``exhaustive_verify`` walks every
 admissible request sequence up to a depth bound, re-checking after each
 request: validity, every structural property of valid situations, the
-insert reassignment bound, oracle agreement and the coin accounting.
+insert reassignment bound, oracle agreement and the potential certificate
+(the charge of each request and an independent recount of Φ).  The walk
+keys each state on its pebbles alone, since Φ is a function of them.
 """
 
 from __future__ import annotations
@@ -273,20 +275,11 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _rebuild(n: int, key, config: CoinConfig):
-    pairs, coin_items = key
+def _rebuild(n: int, pairs, config: CoinConfig):
     s = Situation(n)
     for start, level in pairs:
         s.place_pebble(level, start)
-    ledger = CoinLedger(s, config)
-    ledger.load_coins({Place(lv, st): c for st, lv, c in coin_items})
-    return s, ledger
-
-
-def _ledger_key(ledger: CoinLedger):
-    return tuple(
-        sorted((p.start, p.level, c) for p, c in ledger.coins.items() if c)
-    )
+    return s, CoinLedger(s, config)
 
 
 def _admissible(s: Situation):
@@ -309,11 +302,10 @@ def exhaustive_verify(
 ) -> VerifyReport:
     """BFS over all admissible request sequences, checking every state.
 
-    Deduplicates on (pebble set, coin assignment); each distinct edge is
-    checked exactly once.  Stops at the first failure and reports the
-    request sequence leading to it.  If some algorithm branch was never
-    exercised, the depth is extended (by at most ``max_depth_extension``)
-    and the walk rerun.
+    Deduplicates on the pebble set; each distinct edge is checked exactly
+    once.  Stops at the first failure and reports the request sequence
+    leading to it.  If some algorithm branch was never exercised, the depth
+    is extended (by at most ``max_depth_extension``) and the walk rerun.
 
     ``require_coverage=None`` enforces full branch coverage exactly when
     the bounds can reach every branch (height >= 4 and depth >= 6);
@@ -350,7 +342,7 @@ def exhaustive_verify(
 
 def _walk(n, depth, options, config, report: VerifyReport) -> None:
     t0 = time.perf_counter()
-    root = ((), ())
+    root = ()
     seen = {root}
     parents: dict = {root: None}
     frontier = [root]
@@ -425,7 +417,7 @@ def _walk(n, depth, options, config, report: VerifyReport) -> None:
                 if p4:
                     fail(key, token, "audit", "; ".join(map(str, p4[:3])))
                     break
-                key2 = (s.to_pairs(), _ledger_key(ledger))
+                key2 = s.to_pairs()
                 if key2 not in seen:
                     seen.add(key2)
                     parents[key2] = (key, token)

@@ -1,10 +1,10 @@
 """Trace replay through either allocator, with validation and coin audit.
 
 The replay engine owns the checking policy: by default it re-validates the
-situation after every request and, for the main allocator, settles the
-coin ledger per request and audits P4.  Big benchmark runs can disable
-per-step validation and thin out audits; the final state is always
-audited.
+situation after every request and, for the main allocator, charges each
+request ``iterations + ΔΦ`` coins against the potential Φ and audits Φ by
+an independent recount.  Big benchmark runs can disable per-step
+validation and thin out audits; the final state is always audited.
 """
 
 from __future__ import annotations
@@ -119,6 +119,8 @@ def replay(
     """
     if allocator not in (PAPER, BASELINE):
         raise ValueError(f"unknown allocator {allocator!r}")
+    if audit_every < 1:
+        raise ValueError(f"audit_every must be >= 1, got {audit_every}")
     t0 = time.perf_counter()
     s = Situation(trace.n)
     use_coins = audit and allocator == PAPER

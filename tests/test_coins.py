@@ -42,12 +42,13 @@ def test_audit_empty_situation():
 def test_audit_needs_coin_before_bigger_pebble():
     s = build(2, [(1, 0), (2, 2)])
     ledger = CoinLedger(s)
-    # seeding put the one required coin on the unit gap
-    assert ledger.coins == {Place(0, 1): 1}
+    # the unit gap before the size-2 pebble needs the one coin of Φ
+    assert ledger.balance() == 1
     assert ledger.audit(s) == []
-    ledger.coins[Place(0, 1)] = 0
+    ledger.load_coins({})
     out = ledger.audit(s)
-    assert len(out) == 1 and out[0].kind == "P4" and out[0].place == Place(0, 1)
+    assert len(out) == 1 and out[0].kind == "P4"
+    assert out[0].detail == "potential 1 by scan != balance 0"
 
 
 def test_settle_insert_into_empty_injects_nothing():
@@ -78,7 +79,7 @@ def test_settle_insert_funds_half_size_gap_left_of_moved_pebble():
     log = insert(s, 1)
     info = ledger.settle(s, log)
     assert info.injected == 1
-    assert ledger.coins == {Place(2, 4): 1}
+    assert ledger.balance() == 1
     assert ledger.audit(s) == []
 
 
@@ -89,7 +90,7 @@ def test_settle_delete_no_iteration_funds_new_gap():
     info = ledger.settle(s, log)
     assert log.iterations == 0
     assert info.consumed == 0 and info.injected == 1
-    assert ledger.coins == {Place(0, 1): 1}
+    assert ledger.balance() == 1
     assert ledger.audit(s) == []
 
 
@@ -114,13 +115,13 @@ def test_settle_delete_of_only_pebble_is_free():
 
 def test_budget_findings_reported_not_fatal():
     s = build(3, [(1, 0), (2, 2), (2, 4)])
-    ledger = CoinLedger(s, CoinConfig(insert_budget=0, delete_budget=0))
+    ledger = CoinLedger(s, CoinConfig(budget=0))
     log = delete_last(s, 0)
     info = ledger.settle(s, log)
     assert ledger.audit(s) == []  # settlement still completes
     # with a zero budget any fresh coin trips a finding on some requests
     s2 = build(2, [(1, 0), (1, 1), (2, 2)])
-    ledger2 = CoinLedger(s2, CoinConfig(insert_budget=0, delete_budget=0))
+    ledger2 = CoinLedger(s2, CoinConfig(budget=0))
     log2 = delete_last(s2, 0)
     info2 = ledger2.settle(s2, log2)
     assert info2.findings and ledger2.findings

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ovsfalloc.coins import CoinLedger, iter_places, potential, required_coins
 from ovsfalloc.model import (
     BLACK,
     WHITE,
@@ -218,6 +219,24 @@ def _check_queries_against_scans(s):
     for start, level in pairs:
         assert s.is_black(s.pebble_at(start).id) == (biggest <= level)
         biggest = max(biggest, level)
+    occupied = {q for start, level in pairs for q in range(start, start + (1 << level))}
+    runs = []
+    for q in range(s.leaves):
+        if q in occupied:
+            continue
+        if runs and runs[-1][1] == q:
+            runs[-1] = (runs[-1][0], q + 1)
+        else:
+            runs.append((q, q + 1))
+    assert s.free_runs() == runs
+    phi = 0
+    for start, end in runs:
+        right = [level for st, level in pairs if st >= end]
+        if right:
+            x = 1 << min(right)
+            phi += sum(required_coins(p.size, x) for p in iter_places(start, end, s.n))
+    assert potential(s) == phi
+    assert CoinLedger(s).audit(s) == []  # the audit's own scan agrees
 
 
 @settings(max_examples=40, deadline=None)

@@ -89,6 +89,13 @@ def test_exhaustive_full_coverage_at_acceptance_bounds():
     assert report.missing_coverage() == []
 
 
+def test_certificate_constant_on_every_edge():
+    # the charge iterations + ΔΦ of every reachable edge stays at most 2
+    for n in range(1, 5):
+        report = exhaustive_verify(n, 6)
+        assert report.ok and report.max_injected <= 2
+
+
 def test_mutations_detected():
     r = exhaustive_verify(4, 6, options=AllocatorOptions(skip_delete_swap=True),
                           require_coverage=False)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ovsfalloc.cli import main
-from ovsfalloc.coins import CoinLedger
+from ovsfalloc.coins import CoinConfig, CoinLedger
 from ovsfalloc.model import InvariantError, Situation
 from ovsfalloc.render import render
 from ovsfalloc.replay import ReplayError, replay
@@ -71,20 +71,44 @@ PINNED_TRACES = {
     "random8": lambda: gen_random_trace(8, 5000, seed=3, insert_ratio=0.6),
 }
 PINNED = {
-    ("by-id12", "paper"): "cb7ddc49cace1f08516120a7e404fd1e550493ef51d3ef5add74b0fae018bc61",
+    ("by-id12", "paper"): "beb84777640fa5043d9706e2aa949f10632e99209e240acd88be07d7c53396e9",
     ("by-id12", "baseline"): "cf2041d41736e65837e964a436fea3f11d761122a23be61502ecbc428bc71410",
     ("cascade12", "paper"): "fd9bbc001bdc0d81a5a47cc3ba932c4b490145bef9b6800134c47beb4e97331e",
     ("cascade12", "baseline"): "d0ab463943c016428158c5431339f352641fa1bd0fcbebe019dd4f3de917b934",
-    ("random8", "paper"): "78ae5e6c5482273f8456b6c02f69c2a1043859f5a2ea0da760f84736536e1d3d",
+    ("random8", "paper"): "8d78c6dc8d93bb4b499c39b14db340e6c08467c25a432a9831cd705de1c91e6f",
     ("random8", "baseline"): "2abad25b85dbd0abe91f9aae61b83936dff78392ff06750bffcc34d4892f0bd2",
 }
+
+
+# sha256 of the same replays' ``req=`` lines followed by every stat line
+# that does not depend on the coin accounting: what the allocator did
+PINNED_ALLOCATOR = {
+    ("by-id12", "paper"): "c414bf49cc0c9c0d41f7917097feda90d5f2bad7ee807e4f6c782bcb21c31456",
+    ("by-id12", "baseline"): "14ec291d8a01a2e3602e03f76a3d8ba86c30c30629741ae3df89b06a3f9c1bf8",
+    ("cascade12", "paper"): "282c790861d0556e17a82f417ca1ba827fb78588a1df01cdc8296d63f3a415cf",
+    ("cascade12", "baseline"): "c243344a32897d0bbf84dff2a03880f6302f4018d797642b987e7d24d9e6d581",
+    ("random8", "paper"): "198478f8c163cd36a3a7e07a8035d9b3d834d17aaffc1b97bd339f70eba368f7",
+    ("random8", "baseline"): "b65fe21e28b163fdda1b28382aaea1d3e9403d0a414acf9320a8a80f31ef8bd5",
+}
+COIN_STATS = ("stat.max_coins_injected=", "stat.total_coins_injected=", "stat.budget_findings=")
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name,allocator", sorted(PINNED))
 def test_replay_output_pinned(name, allocator):
     res = replay(PINNED_TRACES[name](), allocator=allocator, collect_logs=True)
-    text = "\n".join(res.request_lines + res.stats.stat_lines())
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name, allocator]
+    assert _digest(res.request_lines + res.stats.stat_lines()) == PINNED[name, allocator]
+
+
+@pytest.mark.parametrize("name,allocator", sorted(PINNED_ALLOCATOR))
+def test_replay_allocator_output_pinned(name, allocator):
+    res = replay(PINNED_TRACES[name](), allocator=allocator, collect_logs=True)
+    lines = [line for line in res.request_lines if line.startswith("req=")]
+    lines += [line for line in res.stats.stat_lines() if not line.startswith(COIN_STATS)]
+    assert _digest(lines) == PINNED_ALLOCATOR[name, allocator]
 
 
 @pytest.mark.parametrize("method", ["settle", "audit"])
@@ -148,6 +172,36 @@ def test_cli_run_input_errors(tmp_path, capsys):
     assert main(["run", bad]) == 2
     err = capsys.readouterr().err
     assert "request 1" in err
+
+
+def test_cli_budget_zero_is_applied(tmp_path, capsys):
+    text = "n=2\nI 0\nI 0\nI 1\nD 0\n"
+    direct = replay(parse_trace(text), coin_config=CoinConfig(budget=0))
+    assert direct.stats.budget_findings == 1
+    path = _write(tmp_path, "t.trace", text)
+    assert main(["run", path, "--budget", "0"]) == 0
+    assert "stat.budget_findings=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "{path}", "--budget", "-1"], "--budget must be >= 0, got -1"),
+        (["verify", "--height", "2", "--budget", "-1"], "--budget must be >= 0, got -1"),
+        (["run", "{path}", "--audit-every", "0"], "--audit-every must be >= 1, got 0"),
+        (["run", "{path}", "--audit-every", "-2"], "--audit-every must be >= 1, got -2"),
+    ],
+)
+def test_cli_rejects_out_of_range_counts(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "t.trace", "n=2\nI 0\n")
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_replay_rejects_audit_interval_below_one():
+    with pytest.raises(ValueError, match="audit_every must be >= 1, got 0"):
+        replay(parse_trace("n=2\nI 0\n"), audit_every=0)
 
 
 def test_cli_rejects_negative_heights(tmp_path, capsys):
