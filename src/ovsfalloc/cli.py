@@ -161,6 +161,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     options = _MUTATIONS.get(args.mutate) if args.mutate else None
+    if args.height < 0:
+        return _usage_error(f"--height must be >= 0, got {args.height}")
+    if args.depth < 0:
+        return _usage_error(f"--depth must be >= 0, got {args.depth}")
     if args.budget is not None and args.budget < 0:
         return _usage_error(f"--budget must be >= 0, got {args.budget}")
     config = None if args.budget is None else CoinConfig(args.budget)

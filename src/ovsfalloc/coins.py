@@ -174,11 +174,14 @@ class CoinLedger:
         smallest = None  # least level of the pebbles right of ``end``
         end = s.leaves
         for pebble in reversed(list(s.pebbles())):
-            if pebble.end < end and smallest is not None:
-                scanned += run_potential(pebble.end, end, smallest, s.n)
-            if smallest is None or pebble.level < smallest:
-                smallest = pebble.level
-            end = pebble.start
+            level = pebble.level
+            start = pebble.start
+            pebble_end = start + (1 << level)
+            if pebble_end < end and smallest is not None:
+                scanned += run_potential(pebble_end, end, smallest, s.n)
+            if smallest is None or level < smallest:
+                smallest = level
+            end = start
         if end > 0 and smallest is not None:
             scanned += run_potential(0, end, smallest, s.n)
         if scanned == self._balance:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 BLACK = "black"
 WHITE = "white"
@@ -120,49 +120,57 @@ class Violation:
         return " ".join(bits)
 
 
-def validate_pebbles(seq: list[Pebble], leaves: int) -> list[Violation]:
-    """All P1/P2/P3, alignment and overlap breaches of ``seq``, a
-    position-ordered pebble list over ``leaves`` positions."""
+def validate_pebbles(seq: Iterable[Pebble], leaves: int) -> list[Violation]:
+    """All P1/P2/P3, alignment and overlap breaches of ``seq``, position
+    ordered pebbles over ``leaves`` positions, in one pass.
+
+    P2 and P3 are judged on a window of the previous two pebbles.  The
+    result is stably sorted by place start; at one start, the pebbles' own
+    alignment/overlap/P1 breaches come first, then P2, then P3.
+    """
     out: list[Violation] = []
-    colors: list[bool] = []  # parallel: True = black
-    running_max = 0
+    p2: list[Violation] = []
+    p3: list[Violation] = []
+    top = -1  # largest level seen so far
     covered = 0  # leaves covered so far, overlap-clamped
     prev_end = 0
-    prev: Pebble | None = None
+    # window: ``pp`` and ``prev`` precede ``pebble``; the first pebble is
+    # always black, so ``pp`` exists whenever ``prev`` is white
+    pp = prev = None
+    prev_black = True
     for pebble in seq:
-        if pebble.start % pebble.size:
-            out.append(Violation("alignment", (pebble.id,), pebble.place))
-        if prev is not None and pebble.start < prev_end:
-            out.append(Violation("overlap", (prev.id, pebble.id), pebble.place))
-        black = running_max <= pebble.level + 1
-        colors.append(black)
-        free_before = pebble.start - min(covered, pebble.start)
-        if free_before >= pebble.size:
-            out.append(
-                Violation(
-                    "P1",
-                    (pebble.id,),
-                    pebble.place,
-                    f"free bandwidth {free_before} >= {pebble.size}",
-                )
-            )
-        covered += max(0, min(pebble.end, leaves) - max(pebble.start, prev_end))
-        prev_end = max(prev_end, pebble.end)
-        running_max = max(running_max, pebble.level + 1)
-        prev = pebble
-    for i in range(1, len(seq)):
-        if not colors[i - 1] and not colors[i]:
-            out.append(Violation("P2", (seq[i - 1].id, seq[i].id), seq[i].place))
-    for i, pebble in enumerate(seq):
-        if colors[i]:
-            continue
-        if 0 < i < len(seq) - 1:
-            left, right = seq[i - 1], seq[i + 1]
-            if colors[i - 1] and colors[i + 1] and left.level == right.level:
-                out.append(
-                    Violation("P3", (left.id, pebble.id, right.id), pebble.place)
-                )
-    out.sort(key=lambda v: (v.place.start if v.place else 0))
+        level = pebble.level
+        start = pebble.start
+        size = 1 << level
+        end = start + size
+        if start & (size - 1):
+            out.append(Violation("alignment", (pebble.id,), Place(level, start)))
+        if start < prev_end and prev is not None:
+            out.append(Violation("overlap", (prev.id, pebble.id), Place(level, start)))
+        black = top <= level
+        if covered < start and start - covered >= size:
+            detail = f"free bandwidth {start - covered} >= {size}"
+            out.append(Violation("P1", (pebble.id,), Place(level, start), detail))
+        hi = end if end < leaves else leaves
+        lo = start if start > prev_end else prev_end
+        if hi > lo:
+            covered += hi - lo
+        if end > prev_end:
+            prev_end = end
+        if level > top:
+            top = level
+        if not prev_black:
+            if not black:
+                p2.append(Violation("P2", (prev.id, pebble.id), Place(level, start)))
+            elif pp.level == level:
+                # no level above ``level`` precedes ``pebble``, so ``pp`` is black
+                witnesses = (pp.id, prev.id, pebble.id)
+                p3.append(Violation("P3", witnesses, prev.place))
+        pp, prev = prev, pebble
+        prev_black = black
+    out += p2
+    out += p3
+    out.sort(key=lambda v: v.place.start)
     return out
 
 
@@ -471,7 +479,7 @@ class Situation:
 
     def validate(self) -> list[Violation]:
         """All P1/P2/P3, alignment and overlap breaches, position ordered."""
-        return validate_pebbles(list(self.pebbles()), self.leaves)
+        return validate_pebbles(self.pebbles(), self.leaves)
 
     # ------------------------------------------------------------------
     # snapshot text format

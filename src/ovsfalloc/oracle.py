@@ -311,6 +311,10 @@ def exhaustive_verify(
     the bounds can reach every branch (height >= 4 and depth >= 6);
     smaller instances then pass without hitting the deep branches.
     """
+    if n < 0:
+        raise ValueError(f"height must be >= 0, got {n}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     config = config or CoinConfig()
     if require_coverage is None:
         require_coverage = n >= 4 and depth >= 6

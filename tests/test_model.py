@@ -12,6 +12,7 @@ from ovsfalloc.model import (
     RequestError,
     Situation,
     SnapshotError,
+    Violation,
     parse_snapshot,
     validate_pebbles,
 )
@@ -104,6 +105,78 @@ def test_validate_clean_mixed():
     # a white pebble between black neighbors of different sizes is fine
     s, _ = build(5, [(4, 0), (4, 4), (1, 8), (8, 16)])
     assert s.validate() == []
+
+
+def _three_pass_validate_pebbles(seq: list[Pebble], leaves: int) -> list[Violation]:
+    """Reference: the three-pass ``validate_pebbles`` that the one-pass
+    scan replaced, kept verbatim for the differential test below."""
+    out: list[Violation] = []
+    colors: list[bool] = []  # parallel: True = black
+    running_max = 0
+    covered = 0  # leaves covered so far, overlap-clamped
+    prev_end = 0
+    prev: Pebble | None = None
+    for pebble in seq:
+        if pebble.start % pebble.size:
+            out.append(Violation("alignment", (pebble.id,), pebble.place))
+        if prev is not None and pebble.start < prev_end:
+            out.append(Violation("overlap", (prev.id, pebble.id), pebble.place))
+        black = running_max <= pebble.level + 1
+        colors.append(black)
+        free_before = pebble.start - min(covered, pebble.start)
+        if free_before >= pebble.size:
+            out.append(
+                Violation(
+                    "P1",
+                    (pebble.id,),
+                    pebble.place,
+                    f"free bandwidth {free_before} >= {pebble.size}",
+                )
+            )
+        covered += max(0, min(pebble.end, leaves) - max(pebble.start, prev_end))
+        prev_end = max(prev_end, pebble.end)
+        running_max = max(running_max, pebble.level + 1)
+        prev = pebble
+    for i in range(1, len(seq)):
+        if not colors[i - 1] and not colors[i]:
+            out.append(Violation("P2", (seq[i - 1].id, seq[i].id), seq[i].place))
+    for i, pebble in enumerate(seq):
+        if colors[i]:
+            continue
+        if 0 < i < len(seq) - 1:
+            left, right = seq[i - 1], seq[i + 1]
+            if colors[i - 1] and colors[i + 1] and left.level == right.level:
+                out.append(
+                    Violation("P3", (left.id, pebble.id, right.id), pebble.place)
+                )
+    out.sort(key=lambda v: (v.place.start if v.place else 0))
+    return out
+
+
+def test_validate_matches_three_pass_reference():
+    # hand-built lists over 32 leaves, most of them invalid, so every
+    # violation kind and their order at a shared start are exercised; the
+    # same lists over 16 leaves also cross the tree's end
+    rng = random.Random(20071)
+    kinds = set()
+    mixed = 0  # lists with an own breach and a P2/P3 breach at one start
+    for _ in range(20_000):
+        seq = [
+            Pebble(pid, rng.randrange(4), rng.randrange(25))
+            for pid in range(1, rng.randrange(10) + 1)
+        ]
+        if rng.random() >= 0.3:
+            seq.sort(key=lambda p: p.start)
+        assert validate_pebbles(iter(seq), 16) == _three_pass_validate_pebbles(seq, 16), seq
+        expected = _three_pass_validate_pebbles(seq, 32)
+        assert validate_pebbles(iter(seq), 32) == expected, seq
+        kinds.update(v.kind for v in expected)
+        at = {}
+        for v in expected:
+            at.setdefault(v.place.start, set()).add(v.kind in ("P2", "P3"))
+        mixed += any(len(sides) == 2 for sides in at.values())
+    assert kinds == {"alignment", "overlap", "P1", "P2", "P3"}
+    assert mixed > 1000
 
 
 def test_validate_overlap_reported():

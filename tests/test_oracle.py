@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovsfalloc.allocator import AllocatorOptions
@@ -75,6 +76,13 @@ def test_exhaustive_tiny_all_pass():
     report = exhaustive_verify(2, 4)
     assert report.ok
     assert report.max_insert_moves <= 3
+
+
+def test_exhaustive_rejects_negative_bounds():
+    with pytest.raises(ValueError, match="height must be >= 0, got -1"):
+        exhaustive_verify(-1, 2)
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        exhaustive_verify(2, -1)
 
 
 def test_exhaustive_counts_are_deterministic():

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,8 @@ def test_cli_budget_zero_is_applied(tmp_path, capsys):
         (["verify", "--height", "2", "--budget", "-1"], "--budget must be >= 0, got -1"),
         (["run", "{path}", "--audit-every", "0"], "--audit-every must be >= 1, got 0"),
         (["run", "{path}", "--audit-every", "-2"], "--audit-every must be >= 1, got -2"),
+        (["verify", "--height", "-1"], "--height must be >= 0, got -1"),
+        (["verify", "--height", "2", "--depth", "-1"], "--depth must be >= 0, got -1"),
     ],
 )
 def test_cli_rejects_out_of_range_counts(tmp_path, capsys, argv, message):
@@ -202,6 +208,15 @@ def test_cli_rejects_out_of_range_counts(tmp_path, capsys, argv, message):
 def test_replay_rejects_audit_interval_below_one():
     with pytest.raises(ValueError, match="audit_every must be >= 1, got 0"):
         replay(parse_trace("n=2\nI 0\n"), audit_every=0)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "ovsfalloc", "verify", "--height", "2", "--depth", "2"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout
 
 
 def test_cli_rejects_negative_heights(tmp_path, capsys):
