@@ -2,12 +2,19 @@
 
 Everything here recomputes answers by plain scans over the pebble list,
 independent of the indexed query structures, so oracle/implementation
-disagreements surface as failures.  ``exhaustive_verify`` walks every
-admissible request sequence up to a depth bound, re-checking after each
-request: validity, every structural property of valid situations, the
-insert reassignment bound, oracle agreement and the potential certificate
-(the charge of each request and an independent recount of Φ).  The walk
-keys each state on its pebbles alone, since Φ is a function of them.
+disagreements surface as failures.  One position-ordered pass over
+``s.pebbles()`` yields the pebbles, their rule C colors and the maximal
+free gaps between them; every scan answer (first free place, free
+bandwidth before a position, closing position, free leaves in a window)
+is read from those lists, so a pass costs O(pebbles + n) and nothing is
+sized by ``2**n``.  ``structural_failures`` makes one such pass per call.
+
+``exhaustive_verify`` walks every admissible request sequence up to a
+depth bound, re-checking after each request: validity, every structural
+property of valid situations, the insert reassignment bound, oracle
+agreement and the potential certificate (the charge of each request and an
+independent recount of Φ).  The walk keys each state on its pebbles alone,
+since Φ is a function of them.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .allocator import (
     apply,
 )
 from .coins import CoinConfig, CoinLedger
-from .model import AllocationError, Place, Situation
+from .model import AllocationError, Pebble, Place, RequestError, Situation
 
 INSERT_BRANCHES = (
     "place-direct",
@@ -44,22 +51,71 @@ COVERAGE_TARGETS = INSERT_BRANCHES + DELETE_BRANCHES + (
 # scan-based oracles
 
 
-def _occupancy(s: Situation) -> bytearray:
-    occ = bytearray(s.leaves)
-    for pebble in s.pebbles():
-        for i in range(pebble.start, min(pebble.end, s.leaves)):
-            occ[i] = 1
-    return occ
+def _scan(s: Situation) -> tuple[list[Pebble], list[bool], list[tuple[int, int]]]:
+    """One position-ordered pass over ``s.pebbles()``: the pebbles, their
+    rule C colors (True = black: no strictly bigger pebble earlier) and the
+    maximal free gaps ``(start, end)`` between them.
 
-
-def _scan_colors(s: Situation) -> list[bool]:
-    """True = black, by position order: no strictly bigger pebble earlier."""
-    out = []
+    Gaps follow a running maximum end, so overlapping pebbles still leave
+    only leaves that no pebble covers.
+    """
+    pebs = list(s.pebbles())
+    colors = []
+    gaps = []
     biggest = -1
-    for pebble in s.pebbles():
-        out.append(biggest <= pebble.level)
-        biggest = max(biggest, pebble.level)
-    return out
+    covered = 0  # end of the covered prefix
+    for pebble in pebs:
+        level = pebble.level
+        start = pebble.start
+        colors.append(biggest <= level)
+        if level > biggest:
+            biggest = level
+        if start > covered:
+            gaps.append((covered, start))
+        end = start + (1 << level)
+        if end > covered:
+            covered = end
+    if covered < s.leaves:
+        gaps.append((covered, s.leaves))
+    return pebs, colors, gaps
+
+
+def _first_free(gaps: list[tuple[int, int]], level: int) -> Place | None:
+    """Lowest aligned place of ``level`` inside one free gap."""
+    size = 1 << level
+    for lo, hi in gaps:
+        start = (lo + size - 1) & -size
+        if start + size <= hi:
+            return Place(level, start)
+    return None
+
+
+def _free_before(gaps: list[tuple[int, int]], pos: int) -> int:
+    return sum((hi if hi < pos else pos) - lo for lo, hi in gaps if lo < pos)
+
+
+def _any_free(gaps: list[tuple[int, int]], lo: int, hi: int) -> bool:
+    """Is any leaf of ``[lo, hi)`` free?"""
+    return any(a < hi and b > lo for a, b in gaps)
+
+
+def _closing_positions(
+    pebs: list[Pebble], colors: list[bool], levels: int
+) -> list[int | None]:
+    """Closing position of each level below ``levels``: the end of its last
+    black pebble, else the start of the first bigger pebble, else None."""
+    last_black: list[int | None] = [None] * levels
+    first_bigger: list[int | None] = [None] * levels
+    biggest = 0  # no earlier pebble is bigger than any level >= this
+    for pebble, black in zip(pebs, colors):
+        level = pebble.level
+        if black and level < levels:
+            last_black[level] = pebble.start + (1 << level)
+        for lower in range(biggest, min(level, levels)):
+            first_bigger[lower] = pebble.start
+        if level > biggest:
+            biggest = level
+    return [b if b is not None else f for b, f in zip(last_black, first_bigger)]
 
 
 def canput_oracle(s: Situation, level: int) -> bool:
@@ -68,34 +124,20 @@ def canput_oracle(s: Situation, level: int) -> bool:
 
 
 def scan_first_free_place(s: Situation, level: int) -> Place | None:
-    size = 1 << level
-    if size > s.leaves:
-        return None
-    occ = _occupancy(s)
-    for start in range(0, s.leaves, size):
-        if not any(occ[start : start + size]):
-            return Place(level, start)
-    return None
+    return _first_free(_scan(s)[2], level)
 
 
 def scan_free_before(s: Situation, pos: int) -> int:
-    occ = _occupancy(s)
-    return sum(1 for i in range(pos) if not occ[i])
+    if not 0 <= pos <= s.leaves:
+        raise RequestError(f"position {pos} out of [0, {s.leaves}]")
+    return _free_before(_scan(s)[2], pos)
 
 
 def scan_closing_position(s: Situation, level: int) -> int | None:
-    last_black = None
-    biggest = -1
-    first_bigger = None
-    for pebble in s.pebbles():
-        if pebble.level == level and biggest <= level:
-            last_black = pebble.start + pebble.size
-        if pebble.level > level and first_bigger is None:
-            first_bigger = pebble.start
-        biggest = max(biggest, pebble.level)
-    if last_black is not None:
-        return last_black
-    return first_bigger
+    if level < 0:
+        raise RequestError(f"level {level} is negative")
+    pebs, colors, _ = _scan(s)
+    return _closing_positions(pebs, colors, level + 1)[level]
 
 
 # ----------------------------------------------------------------------
@@ -109,10 +151,11 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
     readable descriptions of any failed property.
     """
     out: list[str] = []
-    pebs = list(s.pebbles())
-    colors = _scan_colors(s)
-    occ = _occupancy(s)
+    pebs, colors, gaps = _scan(s)
     leaves = s.leaves
+    levels = range(s.n + 1)
+    first_free = [_first_free(gaps, level) for level in levels]
+    closing = _closing_positions(pebs, colors, s.n + 1)
 
     if pebs and pebs[0].start != 0:
         out.append(f"first pebble at {pebs[0].start}, not 0")
@@ -130,7 +173,7 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
                 out.append(f"white sizes not strictly increasing at {pebble.place}")
             last_white = pebble.level
 
-    for level in range(s.n + 1):
+    for level in levels:
         slots = [p.start for p, b in zip(pebs, colors) if b and p.level == level]
         size = 1 << level
         for a, b in zip(slots, slots[1:]):
@@ -170,9 +213,9 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
             # everything between the doubled-size closing position and the
             # backing black pebble is solidly covered, with no white starts
             if pebble.level + 1 <= s.n:
-                j = scan_closing_position(s, pebble.level + 1)
+                j = closing[pebble.level + 1]
                 if j is not None and j < left.start:
-                    if any(not occ[q] for q in range(j, left.start)):
+                    if _any_free(gaps, j, left.start):
                         out.append(
                             f"free leaf between {j} and {left.start} "
                             f"(window of white {pebble.place})"
@@ -188,12 +231,11 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
             out.append(f"white pebble {nxt.place} right after free space")
 
     free_total = s.total_free_bandwidth()
-    for level in range(s.n + 1):
-        place = scan_first_free_place(s, level)
+    for level, place in zip(levels, first_free):
         if free_total >= (1 << level) and place is None:
             out.append(f"bandwidth {free_total} fits level {level} but no free place")
         if place is not None:
-            if scan_free_before(s, place.start) >= place.size:
+            if _free_before(gaps, place.start) >= place.size:
                 out.append(f"free bandwidth before first free {place} >= its size")
             idx = next(
                 (i for i, p in enumerate(pebs) if p.start > place.start), None
@@ -216,13 +258,13 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
         for pebble, black in zip(pebs, colors):
             if s.is_black(pebble.id) != black:
                 out.append(f"color disagreement at {pebble.place}")
-        for level in range(s.n + 1):
-            if s.first_free_place(level) != scan_first_free_place(s, level):
+        for level in levels:
+            if s.first_free_place(level) != first_free[level]:
                 out.append(f"first_free_place disagreement at level {level}")
-            if s.closing_position(level) != scan_closing_position(s, level):
+            if s.closing_position(level) != closing[level]:
                 out.append(f"closing_position disagreement at level {level}")
         for pos in range(0, leaves + 1, max(1, leaves // 8)):
-            if s.free_bandwidth_before(pos) != scan_free_before(s, pos):
+            if s.free_bandwidth_before(pos) != _free_before(gaps, pos):
                 out.append(f"free_bandwidth_before disagreement at {pos}")
     return out
 
@@ -319,8 +361,9 @@ def exhaustive_verify(
     if require_coverage is None:
         require_coverage = n >= 4 and depth >= 6
     current_depth = depth
+    extensions: list[str] = []  # one note per deepening, kept in the final report
     while True:
-        report = VerifyReport(n=n, depth=current_depth)
+        report = VerifyReport(n=n, depth=current_depth, notes=list(extensions))
         _walk(n, current_depth, options, config, report)
         if (
             report.ok
@@ -328,7 +371,7 @@ def exhaustive_verify(
             and report.missing_coverage()
             and current_depth < depth + max_depth_extension
         ):
-            report.notes.append(
+            extensions.append(
                 f"branches {report.missing_coverage()} unhit at depth "
                 f"{current_depth}; extending"
             )
