@@ -12,7 +12,7 @@ from .allocator import (
     insert,
 )
 from .baseline import baseline_delete, baseline_delete_by_id, baseline_insert
-from .coins import CoinConfig, CoinLedger, required_coins
+from .coins import CoinLedger, required_coins
 from .model import (
     AllocationError,
     BandwidthError,
@@ -41,7 +41,6 @@ __all__ = [
     "AllocationError",
     "AllocatorOptions",
     "BandwidthError",
-    "CoinConfig",
     "CoinLedger",
     "InvariantError",
     "MoveLog",

@@ -151,17 +151,15 @@ def insert(s: Situation, level: int, options: AllocatorOptions | None = None) ->
 
     if c.size == a:
         # rotate: new pebble right after the backing black, old white after it
-        old_b = b.place
         s.remove_pebble(b.id)
         new = s.place_pebble(level, c.end)
         s.place_pebble(b.level, new.end, pid=b.id)
         log.placed = (new.id, new.place)
-        log.moved.append((b.id, old_b, Place(b.level, new.end)))
+        log.moved.append((b.id, b.place, Place(b.level, new.end)))
         log.branch = ROTATE_PAIR
         return log
 
     # c > a: shuffle around the closing position
-    old_b = b.place
     s.remove_pebble(b.id)
     renamed = a < b.size and not options.skip_insert_rename
     big_level = b.level if renamed else level
@@ -174,44 +172,33 @@ def insert(s: Situation, level: int, options: AllocatorOptions | None = None) ->
     if d is None:
         raise InvariantError(f"no pebble at closing position {cp}; input invalid")
 
+    # the white pebble's original slot (== the place right after its backer)
+    # goes to a black closing pebble ``d`` (the appendix placement), else to
+    # the right neighbour ``e`` of a white ``d``, which moves past the pair
+    e = None
     if not s.is_black(d.id):
         e = s.pebble_after(d.start)
         if e is None:
             raise InvariantError("white closing pebble without right neighbor")
-        old_d, old_e = d.place, e.place
-        s.remove_pebble(d.id)
+    s.remove_pebble(d.id)
+    if e is not None:
         s.remove_pebble(e.id)
-        if renamed:
-            s.place_pebble(big_level, cp, pid=b.id)
-            new = s.place_pebble(small_level, cp + big)
-        else:
-            new = s.place_pebble(big_level, cp)
-            s.place_pebble(small_level, cp + big, pid=b.id)
-        s.place_pebble(d.level, cp + big + (1 << small_level), pid=d.id)
-        s.place_pebble(e.level, old_b.start, pid=e.id)
-        log.placed = (new.id, new.place)
-        b_new = Place(b.level, cp if renamed else cp + big)
-        log.moved.append((b.id, old_b, b_new))
-        log.moved.append((d.id, old_d, Place(d.level, cp + big + (1 << small_level))))
-        log.moved.append((e.id, old_e, Place(e.level, old_b.start)))
-        log.branch = SHUFFLE_WHITE
+    if renamed:
+        s.place_pebble(big_level, cp, pid=b.id)
+        new = s.place_pebble(small_level, cp + big)
     else:
-        old_d = d.place
-        s.remove_pebble(d.id)
-        if renamed:
-            s.place_pebble(big_level, cp, pid=b.id)
-            new = s.place_pebble(small_level, cp + big)
-        else:
-            new = s.place_pebble(big_level, cp)
-            s.place_pebble(small_level, cp + big, pid=b.id)
-        # the appendix placement: the displaced closing pebble takes the
-        # white pebble's original slot (== the place right after its backer)
-        s.place_pebble(d.level, old_b.start, pid=d.id)
-        log.placed = (new.id, new.place)
-        b_new = Place(b.level, cp if renamed else cp + big)
-        log.moved.append((b.id, old_b, b_new))
-        log.moved.append((d.id, old_d, Place(d.level, old_b.start)))
-        log.branch = SHUFFLE_BLACK
+        new = s.place_pebble(big_level, cp)
+        s.place_pebble(small_level, cp + big, pid=b.id)
+    d_start = b.start if e is None else cp + big + (1 << small_level)
+    s.place_pebble(d.level, d_start, pid=d.id)
+    if e is not None:
+        s.place_pebble(e.level, b.start, pid=e.id)
+    log.placed = (new.id, new.place)
+    log.moved.append((b.id, b.place, Place(b.level, cp if renamed else cp + big)))
+    log.moved.append((d.id, d.place, Place(d.level, d_start)))
+    if e is not None:
+        log.moved.append((e.id, e.place, Place(e.level, b.start)))
+    log.branch = SHUFFLE_BLACK if e is None else SHUFFLE_WHITE
     log.renamed = renamed
     return log
 
@@ -236,14 +223,11 @@ def delete_last(
     s.remove_pebble(victim.id)
     gap = victim.start
 
-    first_seen: dict[int, Place] = {}
+    first_seen: dict[int, Place] = {}  # insertion order is the order of first moves
     last_seen: dict[int, Place] = {}
-    order: list[int] = []
 
     def record(pid: int, old: Place, new: Place) -> None:
-        if pid not in first_seen:
-            first_seen[pid] = old
-            order.append(pid)
+        first_seen.setdefault(pid, old)
         last_seen[pid] = new
 
     while True:
@@ -282,8 +266,7 @@ def delete_last(
                 log.swaps += 1
         gap = source
 
-    for pid in order:
-        old = first_seen[pid]
+    for pid, old in first_seen.items():
         new = last_seen[pid]
         if old != new:
             log.moved.append((pid, old, new))
@@ -299,8 +282,12 @@ def delete_by_id(
     was a different pebble, its code is handed over to the requested one,
     so the requested identity disappears without an extra reassignment.
     """
-    pebble = s.pebble(pid)
-    log = delete_last(s, pebble.level, options)
+    return hand_over(s, pid, delete_last(s, s.pebble(pid).level, options))
+
+
+def hand_over(s: Situation, pid: int, log: MoveLog) -> MoveLog:
+    """Make ``log``, a delete at ``pid``'s level, the delete of ``pid``: if
+    another pebble was removed, its code passes to ``pid``'s pebble."""
     log.kind = DELETE_ID
     if log.removed != pid:
         survivor = log.removed

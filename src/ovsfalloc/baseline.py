@@ -15,7 +15,7 @@ contrast the main allocator is measured against.
 
 from __future__ import annotations
 
-from .allocator import DELETE_LEVEL, INSERT, MoveLog
+from .allocator import DELETE_LEVEL, INSERT, MoveLog, hand_over
 from .model import BandwidthError, InvariantError, Place, RequestError, Situation
 
 
@@ -93,12 +93,4 @@ def baseline_delete(s: Situation, level: int) -> MoveLog:
 
 def baseline_delete_by_id(s: Situation, pid: int) -> MoveLog:
     """Delete-by-id via the same reduction the main allocator uses."""
-    pebble = s.pebble(pid)
-    log = baseline_delete(s, pebble.level)
-    log.kind = "delete_id"
-    if log.removed != pid:
-        survivor = log.removed
-        s.relabel_pebble(pid, survivor)
-        log.relabel = (pid, survivor)
-        log.removed = pid
-    return log
+    return hand_over(s, pid, baseline_delete(s, s.pebble(pid).level))

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .allocator import AllocatorOptions
-from .coins import CoinConfig
+from .coins import DEFAULT_BUDGET
 from .model import SnapshotError, parse_snapshot
 from .oracle import exhaustive_verify
 from .render import render
@@ -70,9 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--budget",
         type=int,
-        default=None,
+        default=DEFAULT_BUDGET,
         metavar="K",
-        help="per-request fresh coin budget (reporting threshold)",
+        help=f"per-request fresh coin budget (reporting threshold, default {DEFAULT_BUDGET})",
     )
     p_run.add_argument("--log", action="store_true", help="print per-request lines")
     p_run.add_argument("--format", choices=["text", "jsonl"], default="text")
@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="disable one algorithm step (the verifier must then fail)",
     )
-    p_ver.add_argument("--budget", type=int, default=None, metavar="K")
+    p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="K")
     p_ver.add_argument("--format", choices=["text", "jsonl"], default="text")
 
     p_ren = sub.add_parser("render", help="draw a snapshot or trace prefix")
@@ -121,18 +121,13 @@ def _usage_error(message: str) -> int:
 def _cmd_run(args) -> int:
     if args.audit_every < 1:
         return _usage_error(f"--audit-every must be >= 1, got {args.audit_every}")
-    if args.budget is not None and args.budget < 0:
+    if args.budget < 0:
         return _usage_error(f"--budget must be >= 0, got {args.budget}")
-    config = None if args.budget is None else CoinConfig(args.budget)
     try:
         with open(args.trace, encoding="utf-8") as fh:
             trace = parse_trace(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (OSError, TraceError) as exc:
+        return _usage_error(str(exc))
     try:
         result = replay(
             trace,
@@ -141,7 +136,7 @@ def _cmd_run(args) -> int:
             audit=not args.no_audit,
             audit_every=args.audit_every,
             count_relabel=args.count_relabel,
-            coin_config=config,
+            budget=args.budget,
             collect_logs=args.log,
             log_format=args.format,
         )
@@ -165,10 +160,9 @@ def _cmd_verify(args) -> int:
         return _usage_error(f"--height must be >= 0, got {args.height}")
     if args.depth < 0:
         return _usage_error(f"--depth must be >= 0, got {args.depth}")
-    if args.budget is not None and args.budget < 0:
+    if args.budget < 0:
         return _usage_error(f"--budget must be >= 0, got {args.budget}")
-    config = None if args.budget is None else CoinConfig(args.budget)
-    report = exhaustive_verify(args.height, args.depth, options=options, config=config)
+    report = exhaustive_verify(args.height, args.depth, options=options, budget=args.budget)
     if args.format == "jsonl":
         print(
             json.dumps(
@@ -194,18 +188,15 @@ def _cmd_render(args) -> int:
         with open(args.path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     if args.trace:
         try:
             trace = parse_trace(text)
         except TraceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(str(exc))
         step = len(trace.requests) if args.step is None else args.step
         if not 0 <= step <= len(trace.requests):
-            print(f"error: --step {step} out of range", file=sys.stderr)
-            return 2
+            return _usage_error(f"--step {step} out of range")
         prefix = Trace(trace.n, trace.requests[:step])
         try:
             result = replay(prefix)
@@ -217,8 +208,7 @@ def _cmd_render(args) -> int:
     try:
         situation = parse_snapshot(text)
     except SnapshotError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     print(render(situation))
     return 0
 
@@ -236,8 +226,7 @@ def _cmd_gen(args) -> int:
         else:
             trace = gen_cascade_trace(args.height, args.requests)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     text = serialize_trace(trace)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -17,9 +17,9 @@ request the certificate recomputes Φ and charges the request
 surplus (Tarjan's potential method).  Since Φ(empty) = 0 and Φ ≥ 0, a
 charge of at most ``K`` on every request bounds the total iterations of
 ``m`` requests by ``K·m``.
-A charge above the configured budget is recorded as a finding, not
-silently absorbed.  The certificate is an auditor only: the allocator
-never consults it.
+A charge above the per-request budget is returned as a finding in the
+request's :class:`SettleInfo`, not silently absorbed.  The certificate is
+an auditor only: the allocator never consults it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 from .allocator import MoveLog
 from .model import InvariantError, Place, Situation, Violation
+
+DEFAULT_BUDGET = 4  # fresh coins per request above which a finding is reported
 
 
 def required_coins(p: int, x: int) -> int:
@@ -68,13 +70,6 @@ def potential(s: Situation) -> int:
 
 
 @dataclass(slots=True)
-class CoinConfig:
-    """Per-request fresh-coin budget (a reporting threshold)."""
-
-    budget: int = 4
-
-
-@dataclass(slots=True)
 class SettleInfo:
     """Per-request accounting summary."""
 
@@ -93,30 +88,22 @@ class CoinLedger:
     the pebbles.
     """
 
-    def __init__(self, situation: Situation, config: CoinConfig | None = None):
-        self.config = config or CoinConfig()
+    def __init__(self, situation: Situation, budget: int = DEFAULT_BUDGET):
+        self.budget = budget
         self._balance = potential(situation)
         self.seeded_total = self._balance
         self.injected_total = 0
         self.consumed_total = 0
         self.discarded_total = 0
-        self.injected_last = 0
-        self.consumed_last = 0
-        self.max_injected = 0
-        self.findings: list[str] = []
 
     def copy(self) -> "CoinLedger":
         other = CoinLedger.__new__(CoinLedger)
-        other.config = self.config
+        other.budget = self.budget
         other._balance = self._balance
         other.seeded_total = self.seeded_total
         other.injected_total = self.injected_total
         other.consumed_total = self.consumed_total
         other.discarded_total = self.discarded_total
-        other.injected_last = self.injected_last
-        other.consumed_last = self.consumed_last
-        other.max_injected = self.max_injected
-        other.findings = list(self.findings)
         return other
 
     def load_coins(self, coins: dict[Place, int]) -> None:
@@ -134,18 +121,12 @@ class CoinLedger:
         info = SettleInfo(
             injected=max(0, net), consumed=log.iterations, discarded=max(0, -net)
         )
-        if info.injected > self.config.budget:
-            info.findings.append(
-                f"injected {info.injected} coins exceeds budget {self.config.budget}"
-            )
-            self.findings.extend(info.findings)
+        if info.injected > self.budget:
+            info.findings.append(f"injected {info.injected} coins exceeds budget {self.budget}")
         self._balance = after
-        self.injected_last = info.injected
-        self.consumed_last = info.consumed
         self.injected_total += info.injected
         self.consumed_total += info.consumed
         self.discarded_total += info.discarded
-        self.max_injected = max(self.max_injected, info.injected)
         return info
 
     # ------------------------------------------------------------------
@@ -189,9 +170,10 @@ class CoinLedger:
         detail = f"potential {scanned} by scan != balance {self._balance}"
         return [Violation("P4", detail=detail)]
 
-    def report_line(self, p4_ok: bool) -> str:
+    def report_line(self, info: SettleInfo, p4_ok: bool) -> str:
+        """The ``--log`` line of the request that ``settle`` returned ``info`` for."""
         status = "ok" if p4_ok else "fail"
         return (
-            f"iters={self.consumed_last} injected={self.injected_last} "
-            f"consumed={self.consumed_last} balance={self.balance()} p4={status}"
+            f"iters={info.consumed} injected={info.injected} "
+            f"consumed={info.consumed} balance={self.balance()} p4={status}"
         )

@@ -75,9 +75,13 @@ class Place(NamedTuple):
         return f"{self.size}@{self.start}"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Pebble:
-    """One allocated code: stable id, level and starting position."""
+    """One allocated code: stable id, level and starting position.
+
+    A value: moving or relabelling a pebble installs a new one, so a
+    pebble held by a caller keeps the place and id it was read with.
+    """
 
     id: int
     level: int
@@ -191,7 +195,7 @@ def _starts(seg: tuple[int, int, int]) -> range:
 class Situation:
     """Mutable allocator state over ``2**n`` leaf positions.
 
-    ``_peb`` maps ids to pebbles and ``_at`` starts to ids.  Positions
+    ``_peb`` maps ids to pebbles and ``_at`` starts to pebbles.  Positions
     live in ``_segs``, a start-ordered list of ``(start, level, count)``
     segments: ``count`` contiguous pebbles of ``level``, the first at
     ``start``, with no equal-level pebble touching either end.  Every
@@ -205,7 +209,7 @@ class Situation:
         self.n = n
         self.leaves = 1 << n
         self._peb: dict[int, Pebble] = {}
-        self._at: dict[int, int] = {}  # start -> pebble id
+        self._at: dict[int, Pebble] = {}  # start -> pebble
         self._segs: list[tuple[int, int, int]] = []
         self._occupied = 0
         self._next_id = 1
@@ -238,7 +242,7 @@ class Situation:
             hi, count = i + 1, count + segs[i][2]
         segs[lo:hi] = [(first, level, count)]
         self._peb[pebble.id] = pebble
-        self._at[start] = pebble.id
+        self._at[start] = pebble
         self._occupied += 1 << level
 
     def _uninstall(self, pid: int) -> Pebble:
@@ -296,19 +300,11 @@ class Situation:
     def move_pebble(self, pid: int, new_start: int) -> None:
         """Reassign an existing pebble to a new aligned free place."""
         pebble = self._uninstall(pid)
-        old_start = pebble.start
-        if (
-            new_start % pebble.size
-            or new_start < 0
-            or new_start + pebble.size > self.leaves
-        ):
-            self._install(pebble)
-            raise InvariantError(f"misaligned move of {pid} to {new_start}")
         try:
-            pebble.start = new_start
-            self._install(pebble)
+            if new_start % pebble.size or new_start < 0 or new_start + pebble.size > self.leaves:
+                raise InvariantError(f"misaligned move of {pid} to {new_start}")
+            self._install(Pebble(pid, pebble.level, new_start))
         except InvariantError:
-            pebble.start = old_start
             self._install(pebble)
             raise
 
@@ -318,16 +314,14 @@ class Situation:
             raise RequestError(f"unknown pebble id {old_id}")
         if new_id in self._peb:
             raise RequestError(f"pebble id {new_id} already present")
-        pebble = self._peb.pop(old_id)
-        pebble.id = new_id
-        self._peb[new_id] = pebble
-        self._at[pebble.start] = new_id
+        old = self._peb.pop(old_id)
+        self._peb[new_id] = self._at[old.start] = Pebble(new_id, old.level, old.start)
 
     def copy(self) -> "Situation":
         other = Situation.__new__(Situation)
         other.n = self.n
         other.leaves = self.leaves
-        other._peb = {pid: Pebble(p.id, p.level, p.start) for pid, p in self._peb.items()}
+        other._peb = dict(self._peb)
         other._at = dict(self._at)
         other._segs = list(self._segs)
         other._occupied = self._occupied
@@ -352,10 +346,9 @@ class Situation:
     def pebbles(self) -> Iterator[Pebble]:
         """Pebbles in position order."""
         at = self._at
-        peb = self._peb
         for seg in self._segs:
             for start in _starts(seg):
-                yield peb[at[start]]
+                yield at[start]
 
     def to_pairs(self) -> tuple[tuple[int, int], ...]:
         """Canonical ``(start, level)`` view, position ordered."""
@@ -368,8 +361,7 @@ class Situation:
         return tuple(start for seg in self._segs if seg[1] == level for start in _starts(seg))
 
     def pebble_at(self, start: int) -> Pebble | None:
-        pid = self._at.get(start)
-        return None if pid is None else self._peb[pid]
+        return self._at.get(start)
 
     def pebble_before(self, pos: int) -> Pebble | None:
         """Nearest pebble starting strictly left of ``pos``."""
@@ -379,7 +371,7 @@ class Situation:
             return None
         first, level, count = segs[i - 1]
         k = min(count - 1, (pos - 1 - first) >> level)
-        return self._peb[self._at[first + (k << level)]]
+        return self._at[first + (k << level)]
 
     def pebble_after(self, pos: int) -> Pebble | None:
         """Nearest pebble starting strictly right of ``pos``."""
@@ -389,15 +381,15 @@ class Situation:
             first, level, count = segs[i - 1]
             k = ((pos - first) >> level) + 1
             if k < count:
-                return self._peb[self._at[first + (k << level)]]
+                return self._at[first + (k << level)]
         if i == len(segs):
             return None
-        return self._peb[self._at[segs[i][0]]]
+        return self._at[segs[i][0]]
 
     def rightmost_of_level(self, level: int) -> Pebble | None:
         for first, lv, count in reversed(self._segs):
             if lv == level:
-                return self._peb[self._at[first + ((count - 1) << lv)]]
+                return self._at[first + ((count - 1) << lv)]
         return None
 
     def smallest_level_right(self, pos: int) -> int | None:

@@ -29,7 +29,7 @@ from .allocator import (
     Request,
     apply,
 )
-from .coins import CoinConfig, CoinLedger
+from .coins import DEFAULT_BUDGET, CoinLedger
 from .model import AllocationError, Pebble, Place, RequestError, Situation
 
 INSERT_BRANCHES = (
@@ -124,6 +124,8 @@ def canput_oracle(s: Situation, level: int) -> bool:
 
 
 def scan_first_free_place(s: Situation, level: int) -> Place | None:
+    if level < 0:
+        raise RequestError(f"level {level} is negative")
     return _first_free(_scan(s)[2], level)
 
 
@@ -317,11 +319,11 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _rebuild(n: int, pairs, config: CoinConfig):
+def _rebuild(n: int, pairs, budget: int):
     s = Situation(n)
     for start, level in pairs:
         s.place_pebble(level, start)
-    return s, CoinLedger(s, config)
+    return s, CoinLedger(s, budget)
 
 
 def _admissible(s: Situation):
@@ -338,7 +340,7 @@ def exhaustive_verify(
     n: int,
     depth: int,
     options: AllocatorOptions | None = None,
-    config: CoinConfig | None = None,
+    budget: int = DEFAULT_BUDGET,
     require_coverage: bool | None = None,
     max_depth_extension: int = 2,
 ) -> VerifyReport:
@@ -357,14 +359,13 @@ def exhaustive_verify(
         raise ValueError(f"height must be >= 0, got {n}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    config = config or CoinConfig()
     if require_coverage is None:
         require_coverage = n >= 4 and depth >= 6
     current_depth = depth
     extensions: list[str] = []  # one note per deepening, kept in the final report
     while True:
         report = VerifyReport(n=n, depth=current_depth, notes=list(extensions))
-        _walk(n, current_depth, options, config, report)
+        _walk(n, current_depth, options, budget, report)
         if (
             report.ok
             and require_coverage
@@ -387,7 +388,7 @@ def exhaustive_verify(
         return report
 
 
-def _walk(n, depth, options, config, report: VerifyReport) -> None:
+def _walk(n, depth, options, budget, report: VerifyReport) -> None:
     t0 = time.perf_counter()
     root = ()
     seen = {root}
@@ -412,7 +413,7 @@ def _walk(n, depth, options, config, report: VerifyReport) -> None:
         for key in frontier:
             if not report.ok:
                 break
-            base_s, base_ledger = _rebuild(n, key, config)
+            base_s, base_ledger = _rebuild(n, key, budget)
             for request, token in _admissible(base_s):
                 s = base_s.copy()
                 ledger = base_ledger.copy()

@@ -5,6 +5,8 @@ situation after every request and, for the main allocator, charges each
 request ``iterations + ΔΦ`` coins against the potential Φ and audits Φ by
 an independent recount.  Big benchmark runs can disable per-step
 validation and thin out audits; the final state is always audited.
+Statistics and log lines read each request's charge from the
+``SettleInfo`` that settling it returned.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .allocator import (
     MoveLog,
     apply,
 )
-from .coins import CoinConfig, CoinLedger
+from .coins import DEFAULT_BUDGET, CoinLedger
 from .model import AllocationError, Situation
 from .workloads import Trace
 
@@ -58,23 +60,15 @@ class RunStats:
         return self.total_moves / self.m if self.m else 0.0
 
     def stat_lines(self) -> list[str]:
-        """Deterministic machine-readable lines (wall time excluded)."""
+        """Deterministic machine-readable lines (wall time excluded), one
+        per ``to_dict`` entry in its order."""
         return [
-            f"stat.m={self.m}",
-            f"stat.total_moves={self.total_moves}",
-            f"stat.mean_moves={self.mean_moves:.6f}",
-            f"stat.max_moves={self.max_moves}",
-            f"stat.max_insert_moves={self.max_insert_moves}",
-            f"stat.total_delete_iterations={self.total_delete_iterations}",
-            f"stat.relabels={self.relabels}",
-            f"stat.max_coins_injected={self.max_injected}",
-            f"stat.total_coins_injected={self.total_injected}",
-            f"stat.total_coins_consumed={self.total_consumed}",
-            f"stat.p4_failures={self.p4_failures}",
-            f"stat.budget_findings={self.budget_findings}",
+            f"stat.{key}={value:.6f}" if isinstance(value, float) else f"stat.{key}={value}"
+            for key, value in self.to_dict().items()
         ]
 
     def to_dict(self) -> dict:
+        """The deterministic statistics by name (wall time excluded)."""
         return {
             "m": self.m,
             "total_moves": self.total_moves,
@@ -106,7 +100,7 @@ def replay(
     audit: bool = True,
     audit_every: int = 1,
     count_relabel: bool = False,
-    coin_config: CoinConfig | None = None,
+    budget: int = DEFAULT_BUDGET,
     options: AllocatorOptions | None = None,
     collect_logs: bool = False,
     log_format: str = "text",
@@ -115,7 +109,8 @@ def replay(
 
     ``audit_every=k`` runs the full independent P4 audit every k-th
     request (settlement still happens on every request); the final state
-    is always audited.
+    is always audited.  ``budget`` is the fresh-coin charge per request
+    above which a finding is counted.
     """
     if allocator not in (PAPER, BASELINE):
         raise ValueError(f"unknown allocator {allocator!r}")
@@ -124,7 +119,7 @@ def replay(
     t0 = time.perf_counter()
     s = Situation(trace.n)
     use_coins = audit and allocator == PAPER
-    ledger = CoinLedger(s, coin_config) if use_coins else None
+    ledger = CoinLedger(s, budget) if use_coins else None
     stats = RunStats()
     lines: list[str] = []
 
@@ -173,8 +168,8 @@ def replay(
                 }
                 if ledger is not None:
                     entry["coins"] = {
-                        "injected": ledger.injected_last,
-                        "consumed": ledger.consumed_last,
+                        "injected": info.injected,
+                        "consumed": info.consumed,
                         "balance": ledger.balance(),
                         "p4": "ok" if p4_ok else "fail",
                     }
@@ -182,7 +177,7 @@ def replay(
             else:
                 lines.append(log.serialize(index))
                 if ledger is not None:
-                    lines.append(ledger.report_line(p4_ok))
+                    lines.append(ledger.report_line(info, p4_ok))
         if ledger is not None and not p4_ok:
             raise ReplayError(index, "P4 audit failed")
 

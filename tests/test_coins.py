@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovsfalloc.allocator import delete_last, insert
-from ovsfalloc.coins import CoinConfig, CoinLedger, iter_places, required_coins
+from ovsfalloc.coins import CoinLedger, iter_places, required_coins
 from ovsfalloc.model import Place, Situation
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace
@@ -55,8 +55,8 @@ def test_settle_insert_into_empty_injects_nothing():
     s = Situation(3)
     ledger = CoinLedger(s)
     log = insert(s, 1)
-    ledger.settle(s, log)
-    assert ledger.injected_last == 0
+    info = ledger.settle(s, log)
+    assert info.injected == 0
     assert ledger.audit(s) == []
 
 
@@ -64,8 +64,8 @@ def test_settle_insert_rotate_needs_no_coins():
     s = build(4, [(4, 0), (1, 4)])
     ledger = CoinLedger(s)
     log = insert(s, 2)
-    ledger.settle(s, log)
-    assert ledger.injected_last == 0
+    info = ledger.settle(s, log)
+    assert info.injected == 0
     assert ledger.balance() == 0
     assert ledger.audit(s) == []
 
@@ -115,24 +115,24 @@ def test_settle_delete_of_only_pebble_is_free():
 
 def test_budget_findings_reported_not_fatal():
     s = build(3, [(1, 0), (2, 2), (2, 4)])
-    ledger = CoinLedger(s, CoinConfig(budget=0))
+    ledger = CoinLedger(s, budget=0)
     log = delete_last(s, 0)
     info = ledger.settle(s, log)
     assert ledger.audit(s) == []  # settlement still completes
     # with a zero budget any fresh coin trips a finding on some requests
     s2 = build(2, [(1, 0), (1, 1), (2, 2)])
-    ledger2 = CoinLedger(s2, CoinConfig(budget=0))
+    ledger2 = CoinLedger(s2, budget=0)
     log2 = delete_last(s2, 0)
     info2 = ledger2.settle(s2, log2)
-    assert info2.findings and ledger2.findings
+    assert info2.findings == ["injected 1 coins exceeds budget 0"]
 
 
 def test_report_line_format():
     s = build(3, [(1, 0), (2, 2), (2, 4)])
     ledger = CoinLedger(s)
     log = delete_last(s, 0)
-    ledger.settle(s, log)
-    line = ledger.report_line(p4_ok=True)
+    info = ledger.settle(s, log)
+    line = ledger.report_line(info, p4_ok=True)
     assert line == "iters=1 injected=0 consumed=1 balance=0 p4=ok"
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -238,11 +239,31 @@ def test_snapshot_errors():
 
 
 def test_copy_is_independent():
-    s, _ = build(3, [(2, 0), (1, 2)])
+    s, ids = build(3, [(2, 0), (1, 2)])
     c = s.copy()
     c.place_pebble(1, 4)
     assert len(s) == 2 and len(c) == 3
     assert s.first_free_place(1) == Place(1, 4)
+    pairs = s.to_pairs()
+    c.move_pebble(ids[(1, 2)], 6)
+    c.relabel_pebble(ids[(2, 0)], 99)
+    assert s.to_pairs() == pairs
+    assert [(p.id, p.start) for p in s.pebbles()] == [(ids[(2, 0)], 0), (ids[(1, 2)], 2)]
+    assert 99 not in s and s.pebble(ids[(1, 2)]).start == 2
+
+
+def test_pebbles_are_values():
+    s, ids = build(3, [(2, 0), (1, 4)])
+    held = s.pebble_at(4)
+    s.move_pebble(held.id, 6)
+    assert held.start == 4 and s.pebble(held.id).start == 6
+    first = s.pebble(ids[(2, 0)])
+    s.relabel_pebble(first.id, 99)
+    assert first.id == ids[(2, 0)] and s.pebble_at(0).id == 99
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        held.start = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.id = 7
 
 
 def test_height_bounds():

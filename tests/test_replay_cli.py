@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ovsfalloc.cli import main
-from ovsfalloc.coins import CoinConfig, CoinLedger
+from ovsfalloc.coins import CoinLedger
 from ovsfalloc.model import InvariantError, Situation
 from ovsfalloc.render import render
 from ovsfalloc.replay import ReplayError, replay
@@ -180,7 +180,7 @@ def test_cli_run_input_errors(tmp_path, capsys):
 
 def test_cli_budget_zero_is_applied(tmp_path, capsys):
     text = "n=2\nI 0\nI 0\nI 1\nD 0\n"
-    direct = replay(parse_trace(text), coin_config=CoinConfig(budget=0))
+    direct = replay(parse_trace(text), budget=0)
     assert direct.stats.budget_findings == 1
     path = _write(tmp_path, "t.trace", text)
     assert main(["run", path, "--budget", "0"]) == 0
