@@ -214,6 +214,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.height < 0:
+        return _usage_error(f"--height must be >= 0, got {args.height}")
+    if args.requests < 0:
+        return _usage_error(f"--requests must be >= 0, got {args.requests}")
     try:
         if args.kind == "random":
             trace = gen_random_trace(
@@ -229,8 +233,11 @@ def _cmd_gen(args) -> int:
         return _usage_error(str(exc))
     text = serialize_trace(trace)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _usage_error(str(exc))
     else:
         sys.stdout.write(text)
     return 0

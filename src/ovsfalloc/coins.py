@@ -17,6 +17,15 @@ request the certificate recomputes Φ and charges the request
 surplus (Tarjan's potential method).  Since Φ(empty) = 0 and Φ ≥ 0, a
 charge of at most ``K`` on every request bounds the total iterations of
 ``m`` requests by ``K·m``.
+
+Φ is computed twice, by different means.  ``potential``, behind every
+charge, reads the segment list in one right-to-left pass and counts each
+free run in closed form, O(segments).  ``CoinLedger.audit`` recounts Φ by
+the definition above, ``iter_places`` and ``required_coins`` on every free
+run of the situation's walk over its pebbles (the walk ``validate`` makes,
+shared when both run on one state), so every audit also cross-checks the
+closed form.
+
 A charge above the per-request budget is returned as a finding in the
 request's :class:`SettleInfo`, not silently absorbed.  The certificate is
 an auditor only: the allocator never consults it.
@@ -59,13 +68,36 @@ def run_potential(start: int, end: int, x_level: int, cap_level: int) -> int:
     return sum(required_coins(p.size, x) for p in iter_places(start, end, cap_level))
 
 
+def closed_run_potential(start: int, end: int, x_level: int) -> int:
+    """:func:`run_potential` of a run inside the tree, in O(1)."""
+    if x_level == 0:
+        return 2 * (end - start)
+    k = x_level - 1  # h = 2**k
+    core = (end >> k) - ((start + (1 << k) - 1) >> k)
+    return core if core > 0 else 0
+
+
 def potential(s: Situation) -> int:
-    """Φ(s) from the segment list: one ``smallest_level_right`` per run."""
+    """Φ(s) in one right-to-left pass over the segments, O(1) per run.
+
+    Every place of a run sees the same smallest right pebble, of size
+    ``x``.  A place of size ``p >= x/2`` needs ``2p/x`` coins, a smaller
+    one none, and the places of size at least ``h = x/2`` tile exactly the
+    ``h``-aligned core of the run, so its Φ is that core's length over
+    ``h``; for ``x = 1`` every place counts, ``2·(end − start)`` in all.
+    """
     total = 0
-    for start, end in s.free_runs():
-        x_level = s.smallest_level_right(start)
-        if x_level is not None:
-            total += run_potential(start, end, x_level, s.n)
+    x_level = None  # least level of the segments right of this one
+    right = s.leaves  # start of the segment right of this one
+    for start, level, count in reversed(s.segments()):
+        end = start + (count << level)
+        if end < right and x_level is not None:
+            total += closed_run_potential(end, right, x_level)
+        if x_level is None or level < x_level:
+            x_level = level
+        right = start
+    if right > 0 and x_level is not None:
+        total += closed_run_potential(0, right, x_level)
     return total
 
 
@@ -84,8 +116,8 @@ class CoinLedger:
 
     ``settle`` recomputes Φ from the situation after every request, so the
     only state is the balance last seen and the running totals; no coin
-    sits on any place.  ``audit`` recomputes Φ by an independent scan over
-    the pebbles.
+    sits on any place.  ``audit`` recounts Φ literally, on the free runs
+    of a walk over the pebbles, never by the closed form.
     """
 
     def __init__(self, situation: Situation, budget: int = DEFAULT_BUDGET):
@@ -149,22 +181,14 @@ class CoinLedger:
             )
 
     def audit(self, s: Situation) -> list[Violation]:
-        """Recompute Φ by a reverse scan over ``s``'s pebbles alone and
-        compare it with the tracked balance."""
+        """Recount Φ by its definition (``iter_places`` and
+        ``required_coins`` on every free run of ``s.pebble_scan()``, the
+        walk over the pebbles that ``validate`` shares) and compare it with
+        the balance that ``settle`` set from the closed form."""
         scanned = 0
-        smallest = None  # least level of the pebbles right of ``end``
-        end = s.leaves
-        for pebble in reversed(list(s.pebbles())):
-            level = pebble.level
-            start = pebble.start
-            pebble_end = start + (1 << level)
-            if pebble_end < end and smallest is not None:
-                scanned += run_potential(pebble_end, end, smallest, s.n)
-            if smallest is None or level < smallest:
-                smallest = level
-            end = start
-        if end > 0 and smallest is not None:
-            scanned += run_potential(0, end, smallest, s.n)
+        for start, end, x_level in s.pebble_scan().runs:
+            if x_level is not None:
+                scanned += run_potential(start, end, x_level, s.n)
         if scanned == self._balance:
             return []
         detail = f"potential {scanned} by scan != balance {self._balance}"

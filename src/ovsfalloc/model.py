@@ -14,16 +14,17 @@ pebble starts before it, otherwise *white*.  A situation is *valid* when
 * P2: two white pebbles never sit next to each other in position order,
 * P3: no white pebble has black left and right neighbors of equal size.
 
-``validate`` re-checks all of this (plus alignment and disjointness) from
-scratch; the query methods scan or bisect one position-ordered list of
-segments, each a maximal run of contiguous equal-size pebbles.  In a
-valid situation every level holds one contiguous black run and at most
-one white pebble, so that list is O(n) long and no part of the state is
-sized by ``2**n``.
+``validate`` re-checks all of this (plus alignment and disjointness) in
+one walk over the pebbles, which also yields the free runs that the coin
+audit recounts and is kept until the next mutation.  The query methods
+scan or bisect one position-ordered list of segments, each a maximal run
+of contiguous equal-size pebbles.  In a valid situation every level
+holds one contiguous black run and at most one white pebble, so that
+list is O(n) long and no part of the state is sized by ``2**n``.
 
-A Situation is a self-contained value: instances share no state, may be
-moved freely between threads, and a single instance must not be mutated
-concurrently.
+A Situation is a self-contained value: instances share no mutable state,
+may be moved freely between threads, and a single instance must not be
+mutated concurrently.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 BLACK = "black"
 WHITE = "white"
@@ -124,17 +125,36 @@ class Violation:
         return " ".join(bits)
 
 
-def validate_pebbles(seq: Iterable[Pebble], leaves: int) -> list[Violation]:
-    """All P1/P2/P3, alignment and overlap breaches of ``seq``, position
-    ordered pebbles over ``leaves`` positions, in one pass.
+class PebbleScan(NamedTuple):
+    """What one position-ordered walk over the pebbles finds.
+
+    ``violations`` are all P1/P2/P3, alignment and overlap breaches, as
+    :func:`validate_pebbles` returns them.  ``runs`` are the maximal free
+    runs ``(start, end, x_level)`` in position order, where ``x_level`` is
+    the least level of the pebbles right of the run (None for a run with
+    no pebble to its right).
+    """
+
+    violations: tuple[Violation, ...]
+    runs: tuple[tuple[int, int, int | None], ...]
+
+
+def scan_pebbles(seq: Iterable[Pebble], leaves: int) -> PebbleScan:
+    """One pass over ``seq``, position ordered pebbles over ``leaves``
+    positions: every breach (see :func:`validate_pebbles`) and the free runs.
 
     P2 and P3 are judged on a window of the previous two pebbles.  The
-    result is stably sorted by place start; at one start, the pebbles' own
-    alignment/overlap/P1 breaches come first, then P2, then P3.
+    violations are stably sorted by place start; at one start, the pebbles'
+    own alignment/overlap/P1 breaches come first, then P2, then P3.  Free
+    runs follow a running maximum end, so overlapping pebbles still leave
+    only leaves that no pebble covers.
     """
     out: list[Violation] = []
     p2: list[Violation] = []
     p3: list[Violation] = []
+    gaps: list[tuple[int, int]] = []
+    lows: list[int] = []  # lows[i]: least level of the pebbles between gaps i - 1 and i
+    low = 0  # least level since the last gap; lows[0], before any gap, is unused
     top = -1  # largest level seen so far
     covered = 0  # leaves covered so far, overlap-clamped
     prev_end = 0
@@ -149,8 +169,18 @@ def validate_pebbles(seq: Iterable[Pebble], leaves: int) -> list[Violation]:
         end = start + size
         if start & (size - 1):
             out.append(Violation("alignment", (pebble.id,), Place(level, start)))
-        if start < prev_end and prev is not None:
-            out.append(Violation("overlap", (prev.id, pebble.id), Place(level, start)))
+        if start == prev_end:
+            if level < low:
+                low = level
+        elif start > prev_end:
+            lows.append(low)
+            gaps.append((prev_end, start))
+            low = level
+        else:
+            if prev is not None:
+                out.append(Violation("overlap", (prev.id, pebble.id), Place(level, start)))
+            if level < low:
+                low = level
         black = top <= level
         if covered < start and start - covered >= size:
             detail = f"free bandwidth {start - covered} >= {size}"
@@ -175,7 +205,26 @@ def validate_pebbles(seq: Iterable[Pebble], leaves: int) -> list[Violation]:
     out += p2
     out += p3
     out.sort(key=lambda v: v.place.start)
-    return out
+    # each gap sees the least level of every block after it: a suffix minimum
+    runs: list[tuple[int, int, int | None]] = []
+    if prev_end < leaves:
+        runs.append((prev_end, leaves, None))
+    lows.append(low)
+    x_level = None
+    for i in range(len(gaps) - 1, -1, -1):
+        block = lows[i + 1]
+        if x_level is None or block < x_level:
+            x_level = block
+        runs.append((*gaps[i], x_level))
+    runs.reverse()
+    return PebbleScan(tuple(out), tuple(runs))
+
+
+def validate_pebbles(seq: Iterable[Pebble], leaves: int) -> list[Violation]:
+    """All P1/P2/P3, alignment and overlap breaches of ``seq``, position
+    ordered pebbles over ``leaves`` positions, in one pass (see
+    :func:`scan_pebbles`)."""
+    return list(scan_pebbles(seq, leaves).violations)
 
 
 _START = itemgetter(0)
@@ -201,6 +250,12 @@ class Situation:
     ``start``, with no equal-level pebble touching either end.  Every
     positional query is a scan or bisection of that one list; rule C
     colors a pebble by a prefix-max scan over it.
+
+    ``_scan`` keeps the last :class:`PebbleScan` of the pebbles, so that
+    ``validate`` and the coin audit of one state share a single walk.
+    ``_install``, ``_uninstall`` and ``relabel_pebble``, the only writers of
+    ``_peb``, ``_at`` and ``_segs``, drop it; ``copy`` shares it, since it is
+    immutable.
     """
 
     def __init__(self, n: int):
@@ -211,6 +266,7 @@ class Situation:
         self._peb: dict[int, Pebble] = {}
         self._at: dict[int, Pebble] = {}  # start -> pebble
         self._segs: list[tuple[int, int, int]] = []
+        self._scan: PebbleScan | None = None
         self._occupied = 0
         self._next_id = 1
 
@@ -241,6 +297,7 @@ class Situation:
         if i < len(segs) and segs[i][1] == level and segs[i][0] == end:
             hi, count = i + 1, count + segs[i][2]
         segs[lo:hi] = [(first, level, count)]
+        self._scan = None
         self._peb[pebble.id] = pebble
         self._at[start] = pebble
         self._occupied += 1 << level
@@ -259,6 +316,7 @@ class Situation:
         if left + 1 < count:
             parts.append((pebble.end, level, count - left - 1))
         segs[i : i + 1] = parts
+        self._scan = None
         self._occupied -= 1 << level
         return pebble
 
@@ -315,6 +373,7 @@ class Situation:
         if new_id in self._peb:
             raise RequestError(f"pebble id {new_id} already present")
         old = self._peb.pop(old_id)
+        self._scan = None
         self._peb[new_id] = self._at[old.start] = Pebble(new_id, old.level, old.start)
 
     def copy(self) -> "Situation":
@@ -324,6 +383,7 @@ class Situation:
         other._peb = dict(self._peb)
         other._at = dict(self._at)
         other._segs = list(self._segs)
+        other._scan = self._scan
         other._occupied = self._occupied
         other._next_id = self._next_id
         return other
@@ -343,12 +403,14 @@ class Situation:
         except KeyError:
             raise RequestError(f"unknown pebble id {pid}") from None
 
-    def pebbles(self) -> Iterator[Pebble]:
-        """Pebbles in position order."""
+    def pebbles(self) -> list[Pebble]:
+        """Pebbles in position order, as a fresh list."""
         at = self._at
-        for seg in self._segs:
-            for start in _starts(seg):
-                yield at[start]
+        return [at[start] for seg in self._segs for start in _starts(seg)]
+
+    def segments(self) -> tuple[tuple[int, int, int], ...]:
+        """The ``(start, level, count)`` segments, position ordered."""
+        return tuple(self._segs)
 
     def to_pairs(self) -> tuple[tuple[int, int], ...]:
         """Canonical ``(start, level)`` view, position ordered."""
@@ -469,9 +531,18 @@ class Situation:
                 last_black = _seg_end(seg)
         return last_black
 
+    def pebble_scan(self) -> PebbleScan:
+        """The :func:`scan_pebbles` result of the current pebbles, walked
+        at most once between two mutations."""
+        scan = self._scan
+        if scan is None:
+            scan = self._scan = scan_pebbles(self.pebbles(), self.leaves)
+        return scan
+
     def validate(self) -> list[Violation]:
-        """All P1/P2/P3, alignment and overlap breaches, position ordered."""
-        return validate_pebbles(self.pebbles(), self.leaves)
+        """All P1/P2/P3, alignment and overlap breaches, position ordered,
+        as a fresh list; the walk behind it is kept until the next mutation."""
+        return list(self.pebble_scan().violations)
 
     # ------------------------------------------------------------------
     # snapshot text format

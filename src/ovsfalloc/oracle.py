@@ -19,6 +19,7 @@ since Φ is a function of them.
 
 from __future__ import annotations
 
+import bisect
 import time
 from dataclasses import dataclass, field
 
@@ -59,7 +60,7 @@ def _scan(s: Situation) -> tuple[list[Pebble], list[bool], list[tuple[int, int]]
     Gaps follow a running maximum end, so overlapping pebbles still leave
     only leaves that no pebble covers.
     """
-    pebs = list(s.pebbles())
+    pebs = s.pebbles()
     colors = []
     gaps = []
     biggest = -1
@@ -80,14 +81,19 @@ def _scan(s: Situation) -> tuple[list[Pebble], list[bool], list[tuple[int, int]]
     return pebs, colors, gaps
 
 
-def _first_free(gaps: list[tuple[int, int]], level: int) -> Place | None:
-    """Lowest aligned place of ``level`` inside one free gap."""
-    size = 1 << level
+def _first_free(gaps: list[tuple[int, int]], levels: int) -> list[Place | None]:
+    """Lowest aligned place inside one free gap, for each level below
+    ``levels``, in one pass: a gap that holds a place of some level holds
+    one of every smaller level, so the gaps are met in level order."""
+    out: list[Place | None] = []
     for lo, hi in gaps:
-        start = (lo + size - 1) & -size
-        if start + size <= hi:
-            return Place(level, start)
-    return None
+        while len(out) < levels:
+            size = 1 << len(out)
+            start = (lo + size - 1) & -size
+            if start + size > hi:
+                break
+            out.append(Place(len(out), start))
+    return out + [None] * (levels - len(out))
 
 
 def _free_before(gaps: list[tuple[int, int]], pos: int) -> int:
@@ -126,7 +132,9 @@ def canput_oracle(s: Situation, level: int) -> bool:
 def scan_first_free_place(s: Situation, level: int) -> Place | None:
     if level < 0:
         raise RequestError(f"level {level} is negative")
-    return _first_free(_scan(s)[2], level)
+    if level > s.n:
+        return None  # no place of ``level`` fits in the tree
+    return _first_free(_scan(s)[2], level + 1)[level]
 
 
 def scan_free_before(s: Situation, pos: int) -> int:
@@ -156,7 +164,7 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
     pebs, colors, gaps = _scan(s)
     leaves = s.leaves
     levels = range(s.n + 1)
-    first_free = [_first_free(gaps, level) for level in levels]
+    first_free = _first_free(gaps, s.n + 1)
     closing = _closing_positions(pebs, colors, s.n + 1)
 
     if pebs and pebs[0].start != 0:
@@ -175,12 +183,21 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
                 out.append(f"white sizes not strictly increasing at {pebble.place}")
             last_white = pebble.level
 
-    for level in levels:
-        slots = [p.start for p, b in zip(pebs, colors) if b and p.level == level]
-        size = 1 << level
-        for a, b in zip(slots, slots[1:]):
-            if b != a + size:
-                out.append(f"black level-{level} pebbles not contiguous: {a}, {b}")
+    black_start: dict[int, int] = {}  # level -> start of its last black pebble so far
+    breaks: dict[int, list[str]] = {}  # level -> its contiguity breaches
+    for pebble, black in zip(pebs, colors):
+        if black:
+            level = pebble.level
+            a = black_start.get(level)
+            if a is not None and pebble.start != a + (1 << level):
+                breaks.setdefault(level, []).append(
+                    f"black level-{level} pebbles not contiguous: {a}, {pebble.start}"
+                )
+            black_start[level] = pebble.start
+    for level in sorted(breaks):
+        out += breaks[level]
+
+    whites = [pebble for pebble, black in zip(pebs, colors) if not black]
 
     for i, (pebble, black) in enumerate(zip(pebs, colors)):
         nxt = pebs[i + 1] if i + 1 < len(pebs) else None
@@ -204,8 +221,8 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
                     f"{left.size - pebble.size}"
                 )
             # no other white pebble may have a size in [a, b)
-            for other, ob in zip(pebs, colors):
-                if other is pebble or ob:
+            for other in whites:
+                if other is pebble:
                     continue
                 if pebble.level <= other.level and other.size < left.size:
                     out.append(
@@ -222,8 +239,8 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
                             f"free leaf between {j} and {left.start} "
                             f"(window of white {pebble.place})"
                         )
-                    for other, ob in zip(pebs, colors):
-                        if not ob and j <= other.start < left.start:
+                    for other in whites:
+                        if j <= other.start < left.start:
                             out.append(
                                 f"white {other.place} starts inside "
                                 f"[{j}, {left.start})"
@@ -233,16 +250,15 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
             out.append(f"white pebble {nxt.place} right after free space")
 
     free_total = s.total_free_bandwidth()
+    starts = [pebble.start for pebble in pebs]
     for level, place in zip(levels, first_free):
         if free_total >= (1 << level) and place is None:
             out.append(f"bandwidth {free_total} fits level {level} but no free place")
         if place is not None:
             if _free_before(gaps, place.start) >= place.size:
                 out.append(f"free bandwidth before first free {place} >= its size")
-            idx = next(
-                (i for i, p in enumerate(pebs) if p.start > place.start), None
-            )
-            if idx is not None:
+            idx = bisect.bisect_right(starts, place.start)
+            if idx < len(pebs):
                 nxt = pebs[idx]
                 if not colors[idx] or nxt.size <= place.size:
                     out.append(

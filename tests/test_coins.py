@@ -1,8 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovsfalloc.allocator import delete_last, insert
-from ovsfalloc.coins import CoinLedger, iter_places, required_coins
+from ovsfalloc.allocator import apply, delete_last, insert
+from ovsfalloc.coins import (
+    CoinLedger,
+    closed_run_potential,
+    iter_places,
+    potential,
+    required_coins,
+    run_potential,
+)
 from ovsfalloc.model import Place, Situation
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace
@@ -30,6 +37,42 @@ def test_iter_places_greedy_decomposition():
     assert list(iter_places(1, 8, 4)) == [Place(0, 1), Place(1, 2), Place(2, 4)]
     assert list(iter_places(0, 16, 4)) == [Place(4, 0)]
     assert list(iter_places(6, 7, 4)) == [Place(0, 6)]
+
+
+def _ref_potential(s: Situation) -> int:
+    """Φ(s) from the segment list: one ``smallest_level_right`` per run."""
+    total = 0
+    for start, end in s.free_runs():
+        x_level = s.smallest_level_right(start)
+        if x_level is not None:
+            total += run_potential(start, end, x_level, s.n)
+    return total
+
+
+def test_closed_run_potential_matches_literal_count():
+    # every run of every tree up to height 7, against every right pebble level
+    for n in range(8):
+        leaves = 1 << n
+        for start in range(leaves):
+            for end in range(start + 1, leaves + 1):
+                for x_level in range(n + 1):
+                    literal = run_potential(start, end, x_level, n)
+                    assert closed_run_potential(start, end, x_level) == literal, (
+                        n, start, end, x_level,
+                    )
+
+
+@pytest.mark.parametrize("by_id", [False, True])
+def test_potential_matches_per_run_reference(by_id):
+    states = 0
+    for n in range(3, 17):
+        trace = gen_random_trace(n, 500, seed=n, insert_ratio=0.6, by_id=by_id)
+        s = Situation(n)
+        for request in trace.requests:
+            apply(s, request)
+            assert potential(s) == _ref_potential(s), (n, s.to_pairs())
+            states += 1
+    assert states == 14 * 500
 
 
 def test_audit_empty_situation():

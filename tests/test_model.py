@@ -8,6 +8,7 @@ from ovsfalloc.coins import CoinLedger, iter_places, potential, required_coins
 from ovsfalloc.model import (
     BLACK,
     WHITE,
+    InvariantError,
     Pebble,
     Place,
     RequestError,
@@ -15,6 +16,7 @@ from ovsfalloc.model import (
     SnapshotError,
     Violation,
     parse_snapshot,
+    scan_pebbles,
     validate_pebbles,
 )
 from ovsfalloc.oracle import (
@@ -180,6 +182,74 @@ def test_validate_matches_three_pass_reference():
     assert mixed > 1000
 
 
+def _reference_runs(seq: list[Pebble], leaves: int):
+    """Free runs behind a running maximum end, each with the least level of
+    the pebbles after it in ``seq`` (None after the last pebble)."""
+    runs = []
+    prev_end = 0
+    for i, pebble in enumerate(seq):
+        if pebble.start > prev_end:
+            runs.append((prev_end, pebble.start, min(p.level for p in seq[i:])))
+        prev_end = max(prev_end, pebble.end)
+    if prev_end < leaves:
+        runs.append((prev_end, leaves, None))
+    return tuple(runs)
+
+
+def test_scan_runs_match_reference():
+    rng = random.Random(20072)
+    for _ in range(5_000):
+        seq = [
+            Pebble(pid, rng.randrange(4), rng.randrange(25))
+            for pid in range(1, rng.randrange(10) + 1)
+        ]
+        if rng.random() >= 0.3:
+            seq.sort(key=lambda p: p.start)
+        for leaves in (16, 32):
+            assert scan_pebbles(iter(seq), leaves).runs == _reference_runs(seq, leaves), seq
+
+
+def _assert_scan_fresh(s):
+    fresh = scan_pebbles(s.pebbles(), s.leaves)
+    assert s.validate() == list(fresh.violations)
+    assert s.pebble_scan() == fresh
+
+
+def test_kept_scan_is_dropped_by_every_mutation():
+    # an invalid layout, so the violations name pebbles and a relabel shows
+    s, ids = build(4, [(4, 0), (1, 5), (2, 8)])
+    _assert_scan_fresh(s)
+    assert s.validate() is not s.validate()
+    s.validate().clear()  # the caller's list is its own
+    _assert_scan_fresh(s)
+
+    s.place_pebble(0, 4)
+    _assert_scan_fresh(s)
+    s.remove_pebble(ids[(1, 5)])
+    _assert_scan_fresh(s)
+    s.move_pebble(ids[(2, 8)], 12)
+    _assert_scan_fresh(s)
+    with pytest.raises(InvariantError):
+        s.move_pebble(ids[(2, 8)], 13)  # misaligned: the pebble is reinstalled
+    _assert_scan_fresh(s)
+    before = s.validate()
+    assert any(ids[(2, 8)] in v.pebbles for v in before)
+    s.relabel_pebble(ids[(2, 8)], 99)
+    _assert_scan_fresh(s)
+    assert s.validate() != before
+
+    c = s.copy()
+    assert c.pebble_scan() is s.pebble_scan()
+    c.place_pebble(0, 7)
+    _assert_scan_fresh(c)
+    _assert_scan_fresh(s)
+    d = s.copy()
+    s.remove_pebble(99)
+    _assert_scan_fresh(s)
+    _assert_scan_fresh(d)
+    assert d.validate() != s.validate()
+
+
 def test_validate_overlap_reported():
     # overlap is unrepresentable through Situation, so hand the validator
     # a position-ordered list with a rogue pebble inside the 8@8 place
@@ -323,6 +393,11 @@ def _check_queries_against_scans(s):
         else:
             runs.append((q, q + 1))
     assert s.free_runs() == runs
+    scan_runs = s.pebble_scan().runs
+    assert [(start, end) for start, end, _ in scan_runs] == runs
+    for start, end, x_level in scan_runs:
+        right = [level for st, level in pairs if st >= end]
+        assert x_level == (min(right) if right else None)
     phi = 0
     for start, end in runs:
         right = [level for st, level in pairs if st >= end]

@@ -196,6 +196,10 @@ def test_cli_budget_zero_is_applied(tmp_path, capsys):
         (["run", "{path}", "--audit-every", "-2"], "--audit-every must be >= 1, got -2"),
         (["verify", "--height", "-1"], "--height must be >= 0, got -1"),
         (["verify", "--height", "2", "--depth", "-1"], "--depth must be >= 0, got -1"),
+        (["gen", "random", "--height", "3", "--requests", "-1"], "--requests must be >= 0, got -1"),
+        (["gen", "cascade", "--height", "3", "--requests", "-1"], "--requests must be >= 0, got -1"),
+        (["gen", "random", "--height", "-1", "--requests", "5"], "--height must be >= 0, got -1"),
+        (["gen", "cascade", "--height", "-1", "--requests", "5"], "--height must be >= 0, got -1"),
     ],
 )
 def test_cli_rejects_out_of_range_counts(tmp_path, capsys, argv, message):
@@ -203,6 +207,15 @@ def test_cli_rejects_out_of_range_counts(tmp_path, capsys, argv, message):
     assert main([arg.format(path=path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_gen_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.trace"
+    argv = ["gen", "random", "--height", "3", "--requests", "5", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_replay_rejects_audit_interval_below_one():
