@@ -224,12 +224,6 @@ def delete_last(
     gap = victim.start
 
     first_seen: dict[int, Place] = {}  # insertion order is the order of first moves
-    last_seen: dict[int, Place] = {}
-
-    def record(pid: int, old: Place, new: Place) -> None:
-        first_seen.setdefault(pid, old)
-        last_seen[pid] = new
-
     while True:
         x_level = s.smallest_level_right(gap)
         if x_level is None:
@@ -244,7 +238,7 @@ def delete_last(
             raise InvariantError(f"no level-{x_level} pebble right of gap {gap}")
         source = mover.start
         s.move_pebble(mover.id, gap)
-        record(mover.id, Place(x_level, source), Place(x_level, gap))
+        first_seen.setdefault(mover.id, mover.place)
         log.iterations += 1
         q = s.pebble_before(gap)
         if (
@@ -261,13 +255,12 @@ def delete_last(
                 s.remove_pebble(q.id)
                 s.move_pebble(mover.id, q_start)
                 s.place_pebble(q.level, gap, pid=q.id)
-                record(mover.id, Place(x_level, source), Place(x_level, q_start))
-                record(q.id, Place(q.level, q_start), Place(q.level, gap))
+                first_seen.setdefault(q.id, q.place)
                 log.swaps += 1
         gap = source
 
-    for pid, old in first_seen.items():
-        new = last_seen[pid]
+    for pid, old in first_seen.items():  # every moved pebble is still live
+        new = s.pebble(pid).place
         if old != new:
             log.moved.append((pid, old, new))
     return log
@@ -297,27 +290,30 @@ def hand_over(s: Situation, pid: int, log: MoveLog) -> MoveLog:
     return log
 
 
-def apply(
-    s: Situation,
-    request: Request,
-    options: AllocatorOptions | None = None,
-    validate_input: bool = False,
-) -> MoveLog:
-    """Dispatch one request; with ``validate_input`` reject invalid states."""
-    if validate_input:
-        violations = s.validate()
-        if violations:
-            raise RequestError(f"input situation invalid: {violations[0]}")
+# the field each request kind needs, and the kind's name in the error
+_NEEDS = {
+    INSERT: ("level", "insert"),
+    DELETE_LEVEL: ("level", "delete"),
+    DELETE_ID: ("id", "delete-by-id"),
+}
+
+
+def check_request(request: Request) -> None:
+    """Raise :class:`RequestError` unless ``request`` is of a known kind and
+    carries the field that kind needs."""
+    try:
+        needed, name = _NEEDS[request.kind]
+    except KeyError:
+        raise RequestError(f"unknown request kind {request.kind!r}") from None
+    if getattr(request, needed) is None:
+        raise RequestError(f"{name} request without {needed}")
+
+
+def apply(s: Situation, request: Request, options: AllocatorOptions | None = None) -> MoveLog:
+    """Dispatch one request."""
+    check_request(request)
     if request.kind == INSERT:
-        if request.level is None:
-            raise RequestError("insert request without level")
         return insert(s, request.level, options)
     if request.kind == DELETE_LEVEL:
-        if request.level is None:
-            raise RequestError("delete request without level")
         return delete_last(s, request.level, options)
-    if request.kind == DELETE_ID:
-        if request.id is None:
-            raise RequestError("delete-by-id request without id")
-        return delete_by_id(s, request.id, options)
-    raise RequestError(f"unknown request kind {request.kind!r}")
+    return delete_by_id(s, request.id, options)

@@ -2,11 +2,16 @@
 
 The baseline keeps pebbles sorted by size with only the alignment-forced
 gaps between them: every pebble sits at the lowest admissible aligned
-position given all smaller-or-equal pebbles.  An insert lands at the end
-of its size run; whoever occupied that slot is removed and re-inserted at
-the end of its own run, cascading upward through at most one pebble per
-level.  A delete removes the rightmost pebble of the level and pulls each
-higher run back left by at most one slot.
+position given all smaller-or-equal pebbles.  So every non-empty level is
+one run, a single ``(start, level, count)`` segment of the situation, and
+the segments ascend by level; both requests are one pass over them.
+
+An insert lands at the end of its size run, rounded up to its size.  When
+that slot starts the next run, the run's first pebble is displaced to the
+run's end, which may start the run after it, and so on: the cascade moves
+at most one pebble per level.  A delete removes the rightmost pebble of
+the level, and each higher run whose aligned start moved one slot left
+shifts there by moving its last pebble to its front.
 
 Per-request cost is therefore bounded by the number of levels, and on
 cascade workloads it really grows linearly with the height, which is the
@@ -15,49 +20,39 @@ contrast the main allocator is measured against.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
+
 from .allocator import DELETE_LEVEL, INSERT, MoveLog, hand_over
 from .model import BandwidthError, InvariantError, Place, RequestError, Situation
 
-
-def _run_target(s: Situation, level: int) -> int:
-    """Lowest aligned slot after every pebble of size <= 2**level."""
-    end = 0
-    for lv in range(level + 1):
-        starts = s.level_starts(lv)
-        if starts:
-            end = max(end, starts[-1] + (1 << lv))
-    size = 1 << level
-    return -(-end // size) * size
+_LEVEL = itemgetter(1)
 
 
 def baseline_insert(s: Situation, level: int) -> MoveLog:
     if not 0 <= level <= s.n:
         raise RequestError(f"level {level} out of [0, {s.n}]")
-    if (1 << level) > s.total_free_bandwidth():
-        raise BandwidthError(f"size {1 << level} exceeds free bandwidth")
-    log = MoveLog(INSERT, level=level)
-    carry: tuple[int, Place] | None = None  # displaced pebble: (id, old place)
-    carry_level = level
-    while True:
-        target = _run_target(s, carry_level)
-        if target + (1 << carry_level) > s.leaves:
-            raise InvariantError("sorted layout overflow; baseline state corrupt")
-        occupier = s.pebble_at(target)
-        displaced = None
-        if occupier is not None:
-            displaced = (occupier.id, occupier.place, occupier.level)
-            s.remove_pebble(occupier.id)
-        if carry is None:
-            new = s.place_pebble(carry_level, target)
-            log.placed = (new.id, new.place)
-        else:
-            s.place_pebble(carry_level, target, pid=carry[0])
-            log.moved.append((carry[0], carry[1], Place(carry_level, target)))
-        if displaced is None:
+    size = 1 << level
+    if size > s.total_free_bandwidth():
+        raise BandwidthError(f"size {size} exceeds free bandwidth {s.total_free_bandwidth()}")
+    runs = s.segments()
+    i = bisect_right(runs, level, key=_LEVEL)  # runs[:i] hold the levels <= level
+    start, lv, count = runs[i - 1] if i else (0, 0, 0)
+    place = Place(level, -(-(start + (count << lv)) // size) * size)
+    hops = []  # (first pebble of a run the cascade passes, its new start)
+    lv, target = place
+    for start, run_level, count in runs[i:]:
+        if start != target:
             break
-        carry = (displaced[0], displaced[1])
-        carry_level = displaced[2]
-    log.branch = "baseline-insert"
+        lv, target = run_level, start + (count << run_level)
+        hops.append((s.pebble_at(start), target))
+    if target + (1 << lv) > s.leaves:
+        raise InvariantError("sorted layout overflow; baseline state corrupt")
+    for pebble, new_start in reversed(hops):  # top down, each onto a free slot
+        s.move_pebble(pebble.id, new_start)
+    new = s.place_pebble(level, place.start)
+    log = MoveLog(INSERT, level=level, placed=(new.id, new.place), branch="baseline-insert")
+    log.moved = [(p.id, p.place, Place(p.level, new_start)) for p, new_start in hops]
     return log
 
 
@@ -67,27 +62,20 @@ def baseline_delete(s: Situation, level: int) -> MoveLog:
     victim = s.rightmost_of_level(level)
     if victim is None:
         raise RequestError(f"no pebble of level {level}")
-    log = MoveLog(DELETE_LEVEL, level=level)
-    log.removed = victim.id
     s.remove_pebble(victim.id)
-    prev_end = 0
-    for lv in range(s.n + 1):
-        starts = s.level_starts(lv)
-        if not starts:
-            continue
+    log = MoveLog(DELETE_LEVEL, level=level, removed=victim.id, branch="baseline-delete")
+    end = 0  # end of the runs passed so far, after their shifts
+    for start, lv, count in s.segments():
         size = 1 << lv
-        want = -(-prev_end // size) * size
-        first = starts[0]
-        if want < first:
-            if first - want != size:
+        want = -(-end // size) * size
+        if want < start:
+            if start - want != size:
                 raise InvariantError("sorted layout drifted by more than one slot")
-            mover = s.rightmost_of_level(lv)
-            old = mover.place
+            mover = s.pebble_at(start + (count - 1) * size)
             s.move_pebble(mover.id, want)
-            log.moved.append((mover.id, old, Place(lv, want)))
-            starts = s.level_starts(lv)
-        prev_end = starts[-1] + size
-    log.branch = "baseline-delete"
+            log.moved.append((mover.id, mover.place, Place(lv, want)))
+            start = want
+        end = start + count * size
     return log
 
 

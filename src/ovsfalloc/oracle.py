@@ -146,6 +146,8 @@ def scan_free_before(s: Situation, pos: int) -> int:
 def scan_closing_position(s: Situation, level: int) -> int | None:
     if level < 0:
         raise RequestError(f"level {level} is negative")
+    if level > s.n:
+        return None  # no pebble of ``level`` or bigger fits in the tree
     pebs, colors, _ = _scan(s)
     return _closing_positions(pebs, colors, level + 1)[level]
 

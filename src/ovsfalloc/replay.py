@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from . import baseline as bl
 from .allocator import (
     AllocatorOptions,
-    DELETE_ID,
     DELETE_LEVEL,
     INSERT,
     MoveLog,
     apply,
+    check_request,
 )
 from .coins import DEFAULT_BUDGET, CoinLedger
 from .model import AllocationError, Situation
@@ -201,10 +201,9 @@ def _request_error(index: int, exc: AllocationError) -> ReplayError:
 def _dispatch(s, request, allocator, options) -> MoveLog:
     if allocator == PAPER:
         return apply(s, request, options)
+    check_request(request)
     if request.kind == INSERT:
         return bl.baseline_insert(s, request.level)
     if request.kind == DELETE_LEVEL:
         return bl.baseline_delete(s, request.level)
-    if request.kind == DELETE_ID:
-        return bl.baseline_delete_by_id(s, request.id)
-    raise AllocationError(f"unknown request kind {request.kind!r}")
+    return bl.baseline_delete_by_id(s, request.id)

@@ -214,13 +214,6 @@ def test_apply_dispatch():
         apply(s, Request("bogus"))
 
 
-def test_apply_validate_input_rejects_invalid_state():
-    s = Situation(2)
-    s.place_pebble(0, 1)  # P1-invalid
-    with pytest.raises(RequestError, match="invalid"):
-        apply(s, Request("insert", level=0), validate_input=True)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000), ratio=st.sampled_from([0.4, 0.6, 0.8]))
 def test_requests_preserve_validity_and_insert_bound(seed, ratio):

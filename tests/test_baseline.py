@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import pytest
 
+from ovsfalloc.allocator import DELETE_ID, DELETE_LEVEL, INSERT, MoveLog, Request, hand_over
 from ovsfalloc.baseline import baseline_delete, baseline_delete_by_id, baseline_insert
-from ovsfalloc.model import BandwidthError, RequestError, Situation
-from ovsfalloc.replay import replay
-from ovsfalloc.workloads import gen_cascade_trace, gen_random_trace
+from ovsfalloc.model import BandwidthError, InvariantError, Place, RequestError, Situation
+from ovsfalloc.replay import ReplayError, replay
+from ovsfalloc.workloads import Trace, gen_cascade_trace, gen_random_trace
 
 
 def build(n, pebs):
@@ -125,3 +128,142 @@ def test_cascade_trace_single_request():
     res_p = replay(trace, allocator="paper")
     assert res_b.stats.total_moves == 0
     assert res_p.stats.total_moves == 0
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        Request(INSERT),
+        Request(DELETE_LEVEL),
+        Request(DELETE_ID),
+        Request("resize", level=0),
+        Request(INSERT, level=3),
+        Request(INSERT, level=2),
+        Request(DELETE_LEVEL, level=1),
+        Request(DELETE_ID, id=7),
+    ],
+)
+def test_malformed_requests_fail_alike_on_both_allocators(request_):
+    trace = Trace(2, [Request(INSERT, level=0), request_])
+    messages = []
+    for allocator in ("paper", "baseline"):
+        with pytest.raises(ReplayError) as info:
+            replay(trace, allocator=allocator)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("request 2: ")
+
+
+# ----------------------------------------------------------------------
+# the per-level rescanning baseline the one-pass version replaced, kept
+# verbatim as the reference
+
+
+def _ref_run_target(s: Situation, level: int) -> int:
+    """Lowest aligned slot after every pebble of size <= 2**level."""
+    end = 0
+    for lv in range(level + 1):
+        starts = s.level_starts(lv)
+        if starts:
+            end = max(end, starts[-1] + (1 << lv))
+    size = 1 << level
+    return -(-end // size) * size
+
+
+def _ref_baseline_insert(s: Situation, level: int) -> MoveLog:
+    if not 0 <= level <= s.n:
+        raise RequestError(f"level {level} out of [0, {s.n}]")
+    if (1 << level) > s.total_free_bandwidth():
+        raise BandwidthError(f"size {1 << level} exceeds free bandwidth")
+    log = MoveLog(INSERT, level=level)
+    carry: tuple[int, Place] | None = None  # displaced pebble: (id, old place)
+    carry_level = level
+    while True:
+        target = _ref_run_target(s, carry_level)
+        if target + (1 << carry_level) > s.leaves:
+            raise InvariantError("sorted layout overflow; baseline state corrupt")
+        occupier = s.pebble_at(target)
+        displaced = None
+        if occupier is not None:
+            displaced = (occupier.id, occupier.place, occupier.level)
+            s.remove_pebble(occupier.id)
+        if carry is None:
+            new = s.place_pebble(carry_level, target)
+            log.placed = (new.id, new.place)
+        else:
+            s.place_pebble(carry_level, target, pid=carry[0])
+            log.moved.append((carry[0], carry[1], Place(carry_level, target)))
+        if displaced is None:
+            break
+        carry = (displaced[0], displaced[1])
+        carry_level = displaced[2]
+    log.branch = "baseline-insert"
+    return log
+
+
+def _ref_baseline_delete(s: Situation, level: int) -> MoveLog:
+    if not 0 <= level <= s.n:
+        raise RequestError(f"level {level} out of [0, {s.n}]")
+    victim = s.rightmost_of_level(level)
+    if victim is None:
+        raise RequestError(f"no pebble of level {level}")
+    log = MoveLog(DELETE_LEVEL, level=level)
+    log.removed = victim.id
+    s.remove_pebble(victim.id)
+    prev_end = 0
+    for lv in range(s.n + 1):
+        starts = s.level_starts(lv)
+        if not starts:
+            continue
+        size = 1 << lv
+        want = -(-prev_end // size) * size
+        first = starts[0]
+        if want < first:
+            if first - want != size:
+                raise InvariantError("sorted layout drifted by more than one slot")
+            mover = s.rightmost_of_level(lv)
+            old = mover.place
+            s.move_pebble(mover.id, want)
+            log.moved.append((mover.id, old, Place(lv, want)))
+            starts = s.level_starts(lv)
+        prev_end = starts[-1] + size
+    log.branch = "baseline-delete"
+    return log
+
+
+def _run_both(s: Situation, request: Request) -> tuple[Situation, MoveLog, MoveLog]:
+    """Serve ``request`` on a copy of ``s`` by the reference and on ``s`` by
+    the current baseline; return the copy and both logs."""
+    ref = s.copy()
+    if request.kind == INSERT:
+        return ref, _ref_baseline_insert(ref, request.level), baseline_insert(s, request.level)
+    if request.kind == DELETE_LEVEL:
+        return ref, _ref_baseline_delete(ref, request.level), baseline_delete(s, request.level)
+    level = ref.pebble(request.id).level
+    old = hand_over(ref, request.id, _ref_baseline_delete(ref, level))
+    return ref, old, baseline_delete_by_id(s, request.id)
+
+
+def _differential_traces():
+    for n in range(2, 11):
+        for by_id in (False, True):
+            for ratio in (0.4, 0.6, 0.8):
+                seed = n * 10 + int(ratio * 10)
+                yield gen_random_trace(n, 150, seed=seed, insert_ratio=ratio, by_id=by_id)
+    for n in range(2, 13):
+        yield gen_cascade_trace(n, 2 * n + 40)
+
+
+def test_one_pass_baseline_matches_per_level_reference():
+    requests = 0
+    for trace in _differential_traces():
+        s = Situation(trace.n)
+        for request in trace.requests:
+            ref, old, new = _run_both(s, request)
+            assert s.to_pairs() == ref.to_pairs()
+            assert [p.id for p in s.pebbles()] == [p.id for p in ref.pebbles()]
+            for name in (f.name for f in fields(MoveLog)):
+                assert getattr(new, name) == getattr(old, name), (trace.n, request, name)
+            requests += 1
+    assert requests > 8000
+

@@ -153,7 +153,8 @@ def test_scan_oracles_reject_out_of_range_arguments():
     for pos in (-1, 9):
         with pytest.raises(RequestError, match=rf"position {pos} out of \[0, 8\]"):
             scan_free_before(s, pos)
-    assert scan_closing_position(s, 4) is None
+    for level in (s.n + 1, 10**6):
+        assert scan_closing_position(s, level) is None
     assert scan_first_free_place(s, 4) is None and not canput_oracle(s, 4)
     for scan in (scan_closing_position, scan_first_free_place, canput_oracle):
         with pytest.raises(RequestError, match="level -1 is negative"):
