@@ -137,8 +137,7 @@ def _cmd_run(args) -> int:
             audit_every=args.audit_every,
             count_relabel=args.count_relabel,
             budget=args.budget,
-            collect_logs=args.log,
-            log_format=args.format,
+            log_format=args.format if args.log else None,
         )
     except ReplayError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -128,11 +128,11 @@ class Violation:
 class PebbleScan(NamedTuple):
     """What one position-ordered walk over the pebbles finds.
 
-    ``violations`` are all P1/P2/P3, alignment and overlap breaches, as
-    :func:`validate_pebbles` returns them.  ``runs`` are the maximal free
-    runs ``(start, end, x_level)`` in position order, where ``x_level`` is
-    the least level of the pebbles right of the run (None for a run with
-    no pebble to its right).
+    ``violations`` are all P1/P2/P3, alignment and overlap breaches, in
+    the order :meth:`Situation.validate` returns them.  ``runs`` are the
+    maximal free runs ``(start, end, x_level)`` in position order, where
+    ``x_level`` is the least level of the pebbles right of the run (None
+    for a run with no pebble to its right).
     """
 
     violations: tuple[Violation, ...]
@@ -141,7 +141,7 @@ class PebbleScan(NamedTuple):
 
 def scan_pebbles(seq: Iterable[Pebble], leaves: int) -> PebbleScan:
     """One pass over ``seq``, position ordered pebbles over ``leaves``
-    positions: every breach (see :func:`validate_pebbles`) and the free runs.
+    positions: every breach (see :class:`PebbleScan`) and the free runs.
 
     P2 and P3 are judged on a window of the previous two pebbles.  The
     violations are stably sorted by place start; at one start, the pebbles'
@@ -218,13 +218,6 @@ def scan_pebbles(seq: Iterable[Pebble], leaves: int) -> PebbleScan:
         runs.append((*gaps[i], x_level))
     runs.reverse()
     return PebbleScan(tuple(out), tuple(runs))
-
-
-def validate_pebbles(seq: Iterable[Pebble], leaves: int) -> list[Violation]:
-    """All P1/P2/P3, alignment and overlap breaches of ``seq``, position
-    ordered pebbles over ``leaves`` positions, in one pass (see
-    :func:`scan_pebbles`)."""
-    return list(scan_pebbles(seq, leaves).violations)
 
 
 _START = itemgetter(0)

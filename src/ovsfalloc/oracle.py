@@ -9,12 +9,14 @@ bandwidth before a position, closing position, free leaves in a window)
 is read from those lists, so a pass costs O(pebbles + n) and nothing is
 sized by ``2**n``.  ``structural_failures`` makes one such pass per call.
 
-``exhaustive_verify`` walks every admissible request sequence up to a
-depth bound, re-checking after each request: validity, every structural
-property of valid situations, the insert reassignment bound, oracle
-agreement and the potential certificate (the charge of each request and an
-independent recount of Φ).  The walk keys each state on its pebbles alone,
-since Φ is a function of them.
+``exhaustive_verify`` is one breadth-first walk over every admissible
+request sequence up to a depth bound, re-checking after each request:
+validity, every structural property of valid situations, the insert
+reassignment bound, oracle agreement and the potential certificate (the
+charge of each request and an independent recount of Φ).  The walk keys
+each state on its pebbles alone, since Φ is a function of them.  At
+height >= 4 and depth >= 6, where every branch is reachable, a branch the
+walk never ran is a ``coverage`` failure.
 """
 
 from __future__ import annotations
@@ -156,11 +158,12 @@ def scan_closing_position(s: Situation, level: int) -> int | None:
 # structural properties of valid situations
 
 
-def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]:
+def structural_failures(s: Situation) -> list[str]:
     """Check every structural property a valid situation must satisfy.
 
     Assumes ``s.validate()`` already came back empty; returns human-
-    readable descriptions of any failed property.
+    readable descriptions of any failed property, and of any answer of the
+    situation's indexed queries that disagrees with the scan.
     """
     out: list[str] = []
     pebs, colors, gaps = _scan(s)
@@ -274,18 +277,17 @@ def structural_failures(s: Situation, check_agreement: bool = True) -> list[str]
         if trimmed.validate():
             out.append("removing the last pebble broke validity")
 
-    if check_agreement:
-        for pebble, black in zip(pebs, colors):
-            if s.is_black(pebble.id) != black:
-                out.append(f"color disagreement at {pebble.place}")
-        for level in levels:
-            if s.first_free_place(level) != first_free[level]:
-                out.append(f"first_free_place disagreement at level {level}")
-            if s.closing_position(level) != closing[level]:
-                out.append(f"closing_position disagreement at level {level}")
-        for pos in range(0, leaves + 1, max(1, leaves // 8)):
-            if s.free_bandwidth_before(pos) != _free_before(gaps, pos):
-                out.append(f"free_bandwidth_before disagreement at {pos}")
+    for pebble, black in zip(pebs, colors):
+        if s.is_black(pebble.id) != black:
+            out.append(f"color disagreement at {pebble.place}")
+    for level in levels:
+        if s.first_free_place(level) != first_free[level]:
+            out.append(f"first_free_place disagreement at level {level}")
+        if s.closing_position(level) != closing[level]:
+            out.append(f"closing_position disagreement at level {level}")
+    for pos in range(0, leaves + 1, max(1, leaves // 8)):
+        if s.free_bandwidth_before(pos) != _free_before(gaps, pos):
+            out.append(f"free_bandwidth_before disagreement at {pos}")
     return out
 
 
@@ -359,55 +361,23 @@ def exhaustive_verify(
     depth: int,
     options: AllocatorOptions | None = None,
     budget: int = DEFAULT_BUDGET,
-    require_coverage: bool | None = None,
-    max_depth_extension: int = 2,
 ) -> VerifyReport:
-    """BFS over all admissible request sequences, checking every state.
+    """BFS over all admissible request sequences of at most ``depth``
+    requests, checking every state.
 
     Deduplicates on the pebble set; each distinct edge is checked exactly
     once.  Stops at the first failure and reports the request sequence
-    leading to it.  If some algorithm branch was never exercised, the depth
-    is extended (by at most ``max_depth_extension``) and the walk rerun.
-
-    ``require_coverage=None`` enforces full branch coverage exactly when
-    the bounds can reach every branch (height >= 4 and depth >= 6);
-    smaller instances then pass without hitting the deep branches.
+    leading to it.  Full branch coverage is required exactly when the
+    bounds reach every branch (height >= 4 and depth >= 6), and a miss is
+    a ``coverage`` failure; smaller instances pass without the deep
+    branches.
     """
     if n < 0:
         raise ValueError(f"height must be >= 0, got {n}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    if require_coverage is None:
-        require_coverage = n >= 4 and depth >= 6
-    current_depth = depth
-    extensions: list[str] = []  # one note per deepening, kept in the final report
-    while True:
-        report = VerifyReport(n=n, depth=current_depth, notes=list(extensions))
-        _walk(n, current_depth, options, budget, report)
-        if (
-            report.ok
-            and require_coverage
-            and report.missing_coverage()
-            and current_depth < depth + max_depth_extension
-        ):
-            extensions.append(
-                f"branches {report.missing_coverage()} unhit at depth "
-                f"{current_depth}; extending"
-            )
-            current_depth += 1
-            continue
-        if report.ok and require_coverage and report.missing_coverage():
-            report.ok = False
-            report.failures.append(
-                VerifyFailure(
-                    (), "coverage", f"unhit branches: {report.missing_coverage()}"
-                )
-            )
-        return report
-
-
-def _walk(n, depth, options, budget, report: VerifyReport) -> None:
     t0 = time.perf_counter()
+    report = VerifyReport(n=n, depth=depth)
     root = ()
     seen = {root}
     parents: dict = {root: None}
@@ -490,4 +460,9 @@ def _walk(n, depth, options, budget, report: VerifyReport) -> None:
                     nxt.append(key2)
         frontier = nxt
     report.states = len(seen)
+    missing = report.missing_coverage()
+    if report.ok and n >= 4 and depth >= 6 and missing:
+        report.ok = False
+        report.failures.append(VerifyFailure((), "coverage", f"unhit branches: {missing}"))
     report.seconds = time.perf_counter() - t0
+    return report

@@ -4,8 +4,10 @@ The replay engine owns the checking policy: by default it re-validates the
 situation after every request and, for the main allocator, charges each
 request ``iterations + ΔΦ`` coins against the potential Φ and audits Φ by
 an independent recount.  Big benchmark runs can disable per-step
-validation and thin out audits; the final state is always audited.
-Statistics and log lines read each request's charge from the
+validation and thin out audits; the final state is always audited.  Any
+failure ends the replay with a ``ReplayError`` naming the request; a
+failed audit carries its P4 detail.  Statistics and log lines (none
+unless a ``log_format`` is given) read each request's charge from the
 ``SettleInfo`` that settling it returned.
 """
 
@@ -16,14 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import baseline as bl
-from .allocator import (
-    AllocatorOptions,
-    DELETE_LEVEL,
-    INSERT,
-    MoveLog,
-    apply,
-    check_request,
-)
+from .allocator import DELETE_LEVEL, INSERT, MoveLog, apply, check_request
 from .coins import DEFAULT_BUDGET, CoinLedger
 from .model import AllocationError, Situation
 from .workloads import Trace
@@ -51,7 +46,7 @@ class RunStats:
     max_injected: int = 0
     total_injected: int = 0
     total_consumed: int = 0
-    p4_failures: int = 0
+    p4_failures: int = 0  # a failed audit ends the replay, so a finished one has none
     budget_findings: int = 0
     wall_time_ms: float = 0.0
 
@@ -101,16 +96,16 @@ def replay(
     audit_every: int = 1,
     count_relabel: bool = False,
     budget: int = DEFAULT_BUDGET,
-    options: AllocatorOptions | None = None,
-    collect_logs: bool = False,
-    log_format: str = "text",
+    log_format: str | None = None,
 ) -> ReplayResult:
     """Replay ``trace`` from the empty situation; raise on any failure.
 
     ``audit_every=k`` runs the full independent P4 audit every k-th
     request (settlement still happens on every request); the final state
-    is always audited.  ``budget`` is the fresh-coin charge per request
-    above which a finding is counted.
+    is always audited, and a failed audit raises with its detail.
+    ``budget`` is the fresh-coin charge per request above which a finding
+    is counted.  ``log_format`` ("text" or "jsonl") collects one log entry
+    per request in ``request_lines``; None collects none.
     """
     if allocator not in (PAPER, BASELINE):
         raise ValueError(f"unknown allocator {allocator!r}")
@@ -125,7 +120,7 @@ def replay(
 
     for index, request in enumerate(trace.requests, start=1):
         try:
-            log = _dispatch(s, request, allocator, options)
+            log = _dispatch(s, request, allocator)
         except AllocationError as exc:
             raise _request_error(index, exc) from exc
         stats.m += 1
@@ -141,7 +136,6 @@ def replay(
             violations = s.validate()
             if violations:
                 raise ReplayError(index, f"invariant broken: {violations[0]}")
-        p4_ok = True
         if ledger is not None:
             audited = index % audit_every == 0 or index == len(trace.requests)
             try:
@@ -149,14 +143,13 @@ def replay(
                 failures = ledger.audit(s) if audited else []
             except AllocationError as exc:
                 raise _request_error(index, exc) from exc
+            if failures:
+                raise ReplayError(index, f"P4 audit failed: {failures[0]}")
             stats.total_injected += info.injected
             stats.total_consumed += info.consumed
             stats.max_injected = max(stats.max_injected, info.injected)
             stats.budget_findings += len(info.findings)
-            if failures:
-                stats.p4_failures += len(failures)
-                p4_ok = False
-        if collect_logs:
+        if log_format is not None:
             if log_format == "jsonl":
                 entry = {
                     "req": index,
@@ -171,15 +164,13 @@ def replay(
                         "injected": info.injected,
                         "consumed": info.consumed,
                         "balance": ledger.balance(),
-                        "p4": "ok" if p4_ok else "fail",
+                        "p4": "ok",
                     }
                 lines.append(json.dumps(entry, sort_keys=True))
             else:
                 lines.append(log.serialize(index))
                 if ledger is not None:
-                    lines.append(ledger.report_line(info, p4_ok))
-        if ledger is not None and not p4_ok:
-            raise ReplayError(index, "P4 audit failed")
+                    lines.append(ledger.report_line(info))
 
     if not validate_each:
         violations = s.validate()
@@ -198,9 +189,9 @@ def _request_error(index: int, exc: AllocationError) -> ReplayError:
     return ReplayError(index, f"{type(exc).__name__}: {exc}")
 
 
-def _dispatch(s, request, allocator, options) -> MoveLog:
+def _dispatch(s, request, allocator) -> MoveLog:
     if allocator == PAPER:
-        return apply(s, request, options)
+        return apply(s, request)
     check_request(request)
     if request.kind == INSERT:
         return bl.baseline_insert(s, request.level)

@@ -122,8 +122,8 @@ def test_determinism():
     ]
     ok = True
     for trace in traces:
-        a = replay(trace, collect_logs=True)
-        b = replay(trace, collect_logs=True)
+        a = replay(trace, log_format="text")
+        b = replay(trace, log_format="text")
         ok = ok and a.request_lines == b.request_lines
         ok = ok and a.stats.stat_lines() == b.stats.stat_lines()
         ok = ok and render(a.situation) == render(b.situation)
@@ -131,12 +131,8 @@ def test_determinism():
 
 
 def test_mutation_sensitivity():
-    swap = exhaustive_verify(
-        4, 6, options=AllocatorOptions(skip_delete_swap=True), require_coverage=False
-    )
-    rename = exhaustive_verify(
-        4, 6, options=AllocatorOptions(skip_insert_rename=True), require_coverage=False
-    )
+    swap = exhaustive_verify(4, 6, options=AllocatorOptions(skip_delete_swap=True))
+    rename = exhaustive_verify(4, 6, options=AllocatorOptions(skip_insert_rename=True))
     _report(
         "mutation-sensitivity",
         (not swap.ok) and (not rename.ok),

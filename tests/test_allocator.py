@@ -236,7 +236,7 @@ def test_by_id_traces_preserve_validity(seed):
 
 def test_determinism_identical_logs():
     trace = gen_random_trace(6, 300, seed=11, insert_ratio=0.6)
-    a = replay(trace, collect_logs=True)
-    b = replay(trace, collect_logs=True)
+    a = replay(trace, log_format="text")
+    b = replay(trace, log_format="text")
     assert a.request_lines == b.request_lines
     assert a.situation.to_pairs() == b.situation.to_pairs()

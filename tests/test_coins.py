@@ -175,7 +175,7 @@ def test_report_line_format():
     ledger = CoinLedger(s)
     log = delete_last(s, 0)
     info = ledger.settle(s, log)
-    line = ledger.report_line(info, p4_ok=True)
+    line = ledger.report_line(info)
     assert line == "iters=1 injected=0 consumed=1 balance=0 p4=ok"
 
 

@@ -17,7 +17,6 @@ from ovsfalloc.model import (
     Violation,
     parse_snapshot,
     scan_pebbles,
-    validate_pebbles,
 )
 from ovsfalloc.oracle import (
     scan_closing_position,
@@ -170,9 +169,10 @@ def test_validate_matches_three_pass_reference():
         ]
         if rng.random() >= 0.3:
             seq.sort(key=lambda p: p.start)
-        assert validate_pebbles(iter(seq), 16) == _three_pass_validate_pebbles(seq, 16), seq
+        expected = _three_pass_validate_pebbles(seq, 16)
+        assert list(scan_pebbles(iter(seq), 16).violations) == expected, seq
         expected = _three_pass_validate_pebbles(seq, 32)
-        assert validate_pebbles(iter(seq), 32) == expected, seq
+        assert list(scan_pebbles(iter(seq), 32).violations) == expected, seq
         kinds.update(v.kind for v in expected)
         at = {}
         for v in expected:
@@ -260,7 +260,7 @@ def test_validate_overlap_reported():
         Pebble(99, 0, 12),
         Pebble(4, 3, 16),
     ]
-    out = validate_pebbles(seq, 32)
+    out = list(scan_pebbles(seq, 32).violations)
     assert any(v.kind == "overlap" and 99 in v.pebbles for v in out)
 
 

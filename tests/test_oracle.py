@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ovsfalloc import oracle
 from ovsfalloc.allocator import AllocatorOptions, apply
 from ovsfalloc.model import Place, RequestError, Situation
 from ovsfalloc.oracle import (
@@ -107,12 +108,10 @@ def test_certificate_constant_on_every_edge():
 
 
 def test_mutations_detected():
-    r = exhaustive_verify(4, 6, options=AllocatorOptions(skip_delete_swap=True),
-                          require_coverage=False)
+    r = exhaustive_verify(4, 6, options=AllocatorOptions(skip_delete_swap=True))
     assert not r.ok
     assert any(f.stage in ("validate", "structure") for f in r.failures)
-    r = exhaustive_verify(4, 6, options=AllocatorOptions(skip_insert_rename=True),
-                          require_coverage=False)
+    r = exhaustive_verify(4, 6, options=AllocatorOptions(skip_insert_rename=True))
     assert not r.ok
 
 
@@ -129,21 +128,26 @@ def test_exhaustive_height_zero():
     assert report.ok
 
 
-def test_deepening_note_when_branches_unreachable():
-    # at height 3 two branches are unreachable; forcing coverage must fail
-    # after the bounded depth extension rather than loop forever
-    report = exhaustive_verify(3, 4, require_coverage=True, max_depth_extension=1)
+def test_coverage_required_only_where_every_branch_is_reachable():
+    # height 3 closes at 45 states and 148 edges by depth 9, so two
+    # branches stay unhit at any depth
+    closed = exhaustive_verify(3, 12)
+    assert (closed.states, closed.transitions) == (45, 148)
+    # height 4 reaches them only from depth 5, and coverage is required
+    # only from depth 6
+    for report in (closed, exhaustive_verify(4, 4)):
+        assert report.ok and report.failures == []
+        assert report.missing_coverage() == ["shuffle-white", "delete-swap"]
+
+
+def test_unhit_branch_fails_where_coverage_is_required(monkeypatch):
+    monkeypatch.setattr(oracle, "COVERAGE_TARGETS", oracle.COVERAGE_TARGETS + ("never",))
+    report = exhaustive_verify(4, 6)
     assert not report.ok
-    assert any(f.stage == "coverage" for f in report.failures)
-
-
-def test_deepening_note_kept_in_final_report():
-    shallow = exhaustive_verify(4, 4, require_coverage=False)
-    missing = shallow.missing_coverage()
-    assert missing
-    report = exhaustive_verify(4, 4, require_coverage=True)
-    assert report.ok and report.depth == 5
-    assert report.notes == [f"branches {missing} unhit at depth 4; extending"]
+    assert [str(f) for f in report.failures] == [
+        "[coverage] after <empty>: unhit branches: ['never']"
+    ]
+    assert exhaustive_verify(4, 5).ok
 
 
 def test_scan_oracles_reject_out_of_range_arguments():
@@ -337,9 +341,8 @@ def _ref_structural_failures(s: Situation, check_agreement: bool = True) -> list
 def _matches_reference(s: Situation) -> bool:
     """Assert the gap-based oracle answers exactly as the per-leaf one; True
     when ``s`` fails some structural property."""
-    assert structural_failures(s) == _ref_structural_failures(s)
-    problems = _ref_structural_failures(s, False)
-    assert structural_failures(s, False) == problems
+    problems = _ref_structural_failures(s)
+    assert structural_failures(s) == problems
     for level in range(s.n + 2):
         assert scan_first_free_place(s, level) == _ref_scan_first_free_place(s, level)
         assert scan_closing_position(s, level) == _ref_scan_closing_position(s, level)

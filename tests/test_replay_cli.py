@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ovsfalloc import coins
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
 from ovsfalloc.model import InvariantError, Situation
@@ -33,7 +34,7 @@ def test_render_distinguishes_situations():
 
 def test_replay_stats_for_known_trace():
     trace = parse_trace("n=3\nI 0\nI 1\nI 1\nD 0\n")
-    res = replay(trace, collect_logs=True)
+    res = replay(trace, log_format="text")
     assert res.stats.m == 4
     assert res.stats.total_moves == 1  # the single compaction relocation
     assert res.stats.total_delete_iterations == 1
@@ -51,7 +52,7 @@ def test_replay_error_cites_request_index():
 
 def test_replay_jsonl_logs():
     trace = parse_trace("n=3\nI 1\nD 1\n")
-    res = replay(trace, collect_logs=True, log_format="jsonl")
+    res = replay(trace, log_format="jsonl")
     entries = [json.loads(line) for line in res.request_lines]
     assert entries[0]["op"] == "I1"
     assert entries[1]["coins"]["p4"] == "ok"
@@ -103,13 +104,13 @@ def _digest(lines):
 
 @pytest.mark.parametrize("name,allocator", sorted(PINNED))
 def test_replay_output_pinned(name, allocator):
-    res = replay(PINNED_TRACES[name](), allocator=allocator, collect_logs=True)
+    res = replay(PINNED_TRACES[name](), allocator=allocator, log_format="text")
     assert _digest(res.request_lines + res.stats.stat_lines()) == PINNED[name, allocator]
 
 
 @pytest.mark.parametrize("name,allocator", sorted(PINNED_ALLOCATOR))
 def test_replay_allocator_output_pinned(name, allocator):
-    res = replay(PINNED_TRACES[name](), allocator=allocator, collect_logs=True)
+    res = replay(PINNED_TRACES[name](), allocator=allocator, log_format="text")
     lines = [line for line in res.request_lines if line.startswith("req=")]
     lines += [line for line in res.stats.stat_lines() if not line.startswith(COIN_STATS)]
     assert _digest(lines) == PINNED_ALLOCATOR[name, allocator]
@@ -246,6 +247,44 @@ def test_cli_run_tall_tree(tmp_path, capsys):
     assert main(["run", path]) == 0
     out = capsys.readouterr().out
     assert "stat.m=4" in out and "stat.p4_failures=0" in out
+
+
+def test_cli_failed_p4_audit_names_its_detail(tmp_path, capsys, monkeypatch):
+    # a closed-form Φ one above the literal recount fails the first audit
+    real = coins.potential
+    monkeypatch.setattr(coins, "potential", lambda s: real(s) + 1)
+    path = _write(tmp_path, "t.trace", "n=3\nI 0\nI 1\n")
+    assert main(["run", path, "--log"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: request 1: P4 audit failed: P4 potential 0 by scan != balance 1\n"
+    )
+    assert captured.out == ""
+
+
+# sha256 of the stdout of ``verify --height <h> --depth 6 --format jsonl``
+# [``--mutate <step>``]: the states, edges, coverage and first failures of
+# each walk; a mutated walk must also exit 1
+PINNED_VERIFY = {
+    "0": "5f4a7f6fc57e1a89729b85e2bcbbd12da675783cd8d07b2def10f5e89075f7dd",
+    "1": "bca0fb89de155c61532192b4da133c719f25b6b71c410d1b0e0850f4edea5aef",
+    "2": "225b927643be949affbc6fe1528b9b0ead4b4a95087016b1c252f3a951bf37d2",
+    "3": "06f22a12e991f83da16b344e616427f38c52fee6530cd28761d949892d16d54e",
+    "4": "1cc7f7cdd5c5eab35920cbce348baa1946162ce5325639fa47874de55d33bd2d",
+    "5": "4c4f0fa389e985482ea818915a8dbf837dccc27b41688d25f183d39876b783a5",
+    "4-skip-delete-swap": "92216c488968cecec2a7b920d3fb6b80ab369bb70f3b77d5e4a8930b3bd1bdee",
+    "4-skip-insert-rename": "42f0746cc6f1ab4f00189094248a6933f752a795f307465ed8d874d7c5492706",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VERIFY))
+def test_verify_output_pinned(capsys, name):
+    height, _, mutate = name.partition("-")
+    argv = ["verify", "--height", height, "--depth", "6", "--format", "jsonl"]
+    if mutate:
+        argv += ["--mutate", mutate]
+    assert main(argv) == (1 if mutate else 0)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_VERIFY[name]
 
 
 def test_cli_verify_pass_and_mutation_fail(capsys):
