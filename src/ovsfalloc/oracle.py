@@ -10,13 +10,17 @@ is read from those lists, so a pass costs O(pebbles + n) and nothing is
 sized by ``2**n``.  ``structural_failures`` makes one such pass per call.
 
 ``exhaustive_verify`` is one breadth-first walk over every admissible
-request sequence up to a depth bound, re-checking after each request:
-validity, every structural property of valid situations, the insert
-reassignment bound, oracle agreement and the potential certificate (the
-charge of each request and an independent recount of Φ).  The walk keys
-each state on its pebbles alone, since Φ is a function of them.  At
-height >= 4 and depth >= 6, where every branch is reachable, a branch the
-walk never ran is a ``coverage`` failure.
+request sequence up to a depth bound.  The walk keys each state on its
+pebbles alone, since Φ is a function of them.  Every edge (one request
+from one state) is checked for an exception, the insert reassignment
+bound and the charge of the request, and its branches are counted.  What
+depends only on the reached state (validity, every structural property
+of valid situations, oracle agreement and the independent recount of Φ)
+is checked on the state's first arrival; a later arrival only has to
+show the same segments, pebbles, occupied bandwidth and id index, or it
+is an ``index`` failure.  At height >= 4 and depth >= 6, where every
+branch is reachable, a branch the walk never ran is a ``coverage``
+failure.
 """
 
 from __future__ import annotations
@@ -346,6 +350,23 @@ def _rebuild(n: int, pairs, budget: int):
     return s, CoinLedger(s, budget)
 
 
+_VIEW_PARTS = ("segments", "pebbles", "free bandwidth", "id index")
+
+
+def _index_view(s: Situation):
+    """What the state checks read of ``s`` beyond its key, one entry per
+    ``_VIEW_PARTS`` name: the segments, the places of the pebbles as
+    ``pebbles()`` lists them, the free bandwidth, and whether the id index
+    holds exactly those pebbles."""
+    pebbles = s.pebbles()
+    return (
+        s.segments(),
+        tuple([(p.start, p.level) for p in pebbles]),
+        s.total_free_bandwidth(),
+        len(s) == len(pebbles) and all(p.id in s and s.pebble(p.id) is p for p in pebbles),
+    )
+
+
 def _admissible(s: Situation):
     free = s.total_free_bandwidth()
     for level in range(s.n + 1):
@@ -363,14 +384,18 @@ def exhaustive_verify(
     budget: int = DEFAULT_BUDGET,
 ) -> VerifyReport:
     """BFS over all admissible request sequences of at most ``depth``
-    requests, checking every state.
+    requests, checking every edge and every state it reaches.
 
-    Deduplicates on the pebble set; each distinct edge is checked exactly
-    once.  Stops at the first failure and reports the request sequence
-    leading to it.  Full branch coverage is required exactly when the
-    bounds reach every branch (height >= 4 and depth >= 6), and a miss is
-    a ``coverage`` failure; smaller instances pass without the deep
-    branches.
+    Deduplicates on the pebble set and expands each state once.  The per-
+    edge checks (exception, insert bound, charge) run on every edge; the
+    state checks (``validate``, ``structural_failures``, the P4 audit) run
+    on the first edge that reaches a state, the first edge back to the
+    empty root included, and every later arrival must match the first
+    one's :func:`_index_view` or fail with stage ``index``.  Stops at the
+    first failure and reports the request sequence leading to it.  Full
+    branch coverage is required exactly when the bounds reach every
+    branch (height >= 4 and depth >= 6), and a miss is a ``coverage``
+    failure; smaller instances pass without the deep branches.
     """
     if n < 0:
         raise ValueError(f"height must be >= 0, got {n}")
@@ -379,8 +404,10 @@ def exhaustive_verify(
     t0 = time.perf_counter()
     report = VerifyReport(n=n, depth=depth)
     root = ()
-    seen = {root}
-    parents: dict = {root: None}
+    parents: dict = {root: None}  # state key -> (parent key, token) of its first edge
+    # state key -> its _index_view on the first edge that reached it; kept
+    # apart from ``parents``, which holds the root before any edge reaches it
+    checked: dict = {}
     frontier = [root]
 
     def trace_of(key, token=None) -> tuple[str, ...]:
@@ -430,13 +457,23 @@ def exhaustive_verify(
                     if moves > 3:
                         fail(key, token, "insert-bound", f"{moves} reassignments")
                         break
-                violations = s.validate()
-                if violations:
-                    fail(key, token, "validate", "; ".join(map(str, violations[:3])))
-                    break
-                problems = structural_failures(s)
-                if problems:
-                    fail(key, token, "structure", "; ".join(problems[:3]))
+                key2 = s.to_pairs()
+                view = _index_view(s)
+                first = key2 not in checked
+                if first:
+                    violations = s.validate()
+                    if violations:
+                        fail(key, token, "validate", "; ".join(map(str, violations[:3])))
+                        break
+                    problems = structural_failures(s)
+                    if problems:
+                        fail(key, token, "structure", "; ".join(problems[:3]))
+                        break
+                elif view != checked[key2]:
+                    parts = ", ".join(
+                        k for k, a, b in zip(_VIEW_PARTS, view, checked[key2]) if a != b
+                    )
+                    fail(key, token, "index", f"{parts} differ from the first arrival")
                     break
                 try:
                     info = ledger.settle(s, log)
@@ -449,17 +486,19 @@ def exhaustive_verify(
                     note = f"after {' '.join(trace_of(key, token))}: {info.findings}"
                     if note not in report.notes:
                         report.notes.append(note)
-                p4 = ledger.audit(s)
-                if p4:
-                    fail(key, token, "audit", "; ".join(map(str, p4[:3])))
-                    break
-                key2 = s.to_pairs()
-                if key2 not in seen:
-                    seen.add(key2)
+                if first:
+                    p4 = ledger.audit(s)
+                    if p4:
+                        fail(key, token, "audit", "; ".join(map(str, p4[:3])))
+                        break
+                    if view[1] == key2:  # hold the key's pairs, not an equal copy
+                        view = (view[0], key2, *view[2:])
+                    checked[key2] = view
+                if key2 not in parents:
                     parents[key2] = (key, token)
                     nxt.append(key2)
         frontier = nxt
-    report.states = len(seen)
+    report.states = len(parents)
     missing = report.missing_coverage()
     if report.ok and n >= 4 and depth >= 6 and missing:
         report.ok = False

@@ -105,10 +105,13 @@ def replay(
     is always audited, and a failed audit raises with its detail.
     ``budget`` is the fresh-coin charge per request above which a finding
     is counted.  ``log_format`` ("text" or "jsonl") collects one log entry
-    per request in ``request_lines``; None collects none.
+    per request in ``request_lines``; None collects none, and any other
+    value raises ``ValueError``.
     """
     if allocator not in (PAPER, BASELINE):
         raise ValueError(f"unknown allocator {allocator!r}")
+    if log_format not in (None, "text", "jsonl"):
+        raise ValueError(f"unknown log_format {log_format!r}")
     if audit_every < 1:
         raise ValueError(f"audit_every must be >= 1, got {audit_every}")
     t0 = time.perf_counter()

@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovsfalloc import oracle
 from ovsfalloc.allocator import AllocatorOptions, apply
-from ovsfalloc.model import Place, RequestError, Situation
+from ovsfalloc.model import Pebble, Place, RequestError, Situation
 from ovsfalloc.oracle import (
     canput_oracle,
     exhaustive_verify,
@@ -15,7 +16,7 @@ from ovsfalloc.oracle import (
     structural_failures,
 )
 from ovsfalloc.replay import replay
-from ovsfalloc.workloads import gen_random_trace
+from ovsfalloc.workloads import gen_random_trace, parse_trace
 
 
 def build(n, pebs):
@@ -148,6 +149,121 @@ def test_unhit_branch_fails_where_coverage_is_required(monkeypatch):
         "[coverage] after <empty>: unhit branches: ['never']"
     ]
     assert exhaustive_verify(4, 5).ok
+
+
+@pytest.mark.parametrize(
+    "pairs, failure",
+    [
+        # the root is known before the walk starts, yet an edge back to it
+        # is still the empty state's first check
+        ((), "[structure] after I0 D0: planted"),
+        (((0, 1), (2, 0)), "[structure] after I1 I0: planted"),
+    ],
+)
+def test_failing_state_fails_on_its_first_arrival(monkeypatch, pairs, failure):
+    # pinned from the walk that ran every check on every edge
+    real = oracle.structural_failures
+
+    def planted(s):
+        return ["planted"] if s.to_pairs() == pairs else real(s)
+
+    monkeypatch.setattr(oracle, "structural_failures", planted)
+    report = exhaustive_verify(4, 6)
+    assert not report.ok
+    assert [str(f) for f in report.failures] == [failure]
+
+
+@pytest.mark.parametrize("n, depth", [(4, 6), (5, 6)])
+def test_each_state_checked_once(monkeypatch, n, depth):
+    calls = {"structure": 0, "validate": 0}
+    reached = set()
+    real_apply = oracle.apply
+    real_structure = oracle.structural_failures
+    real_validate = Situation.validate
+
+    def apply_(s, request, options=None):
+        log = real_apply(s, request, options)
+        reached.add(s.to_pairs())
+        return log
+
+    def structure(s):
+        calls["structure"] += 1
+        return real_structure(s)
+
+    def validate(self):
+        # structural_failures validates a trimmed copy; count the walk's own calls
+        if sys._getframe(1).f_code is exhaustive_verify.__code__:
+            calls["validate"] += 1
+        return real_validate(self)
+
+    monkeypatch.setattr(oracle, "apply", apply_)
+    monkeypatch.setattr(oracle, "structural_failures", structure)
+    monkeypatch.setattr(Situation, "validate", validate)
+    report = exhaustive_verify(n, depth)
+    assert report.ok
+    assert report.transitions > len(reached) == report.states
+    assert calls == {"structure": len(reached), "validate": len(reached)}
+
+
+def _split_first_segment(s):
+    start, level, count = s._segs[0]
+    s._segs[:1] = [(start, level, 1), (start + (1 << level), level, count - 1)]
+
+
+def _bump_occupied(s):
+    s._occupied += 1
+
+
+def _drop_id(s):
+    del s._peb[s.pebbles()[-1].id]
+
+
+def _misplace_last(s):
+    # both pebble indexes agree on a pebble the segment list does not hold
+    last = s.pebbles()[-1]
+    s._at[last.start] = s._peb[last.id] = Pebble(last.id, last.level, last.start + 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt, part",
+    [
+        (_split_first_segment, "segments"),
+        (_bump_occupied, "free bandwidth"),
+        (_drop_id, "id index"),
+        (_misplace_last, "pebbles"),
+    ],
+)
+def test_index_guard_fires_on_a_repeat_arrival(monkeypatch, corrupt, part):
+    reached = set()
+    corrupted = []
+    real_apply = oracle.apply
+
+    def apply_(s, request, options=None):
+        before = s.to_pairs()
+        log = real_apply(s, request, options)
+        key = s.to_pairs()
+        if key in reached and not corrupted and s._segs and s._segs[0][2] > 1:
+            corrupt(s)
+            corrupted.append((before, log.op_token(), key))
+        reached.add(key)
+        return log
+
+    monkeypatch.setattr(oracle, "apply", apply_)
+    report = exhaustive_verify(4, 6)
+    assert not report.ok and len(corrupted) == 1
+    [failure] = report.failures
+    assert failure.stage == "index"
+    assert failure.detail == f"{part} differ from the first arrival"
+    before, token, key = corrupted[0]
+    assert failure.trace[-1] == token
+    assert _replay_tokens(4, failure.trace[:-1]) == before
+    assert _replay_tokens(4, failure.trace) == key
+
+
+def _replay_tokens(n, tokens):
+    """The pairs of the state a walk trace such as ``("I1", "D0")`` reaches."""
+    text = f"n={n}\n" + "".join(f"{tok[0]} {tok[1:]}\n" for tok in tokens)
+    return replay(parse_trace(text)).situation.to_pairs()
 
 
 def test_scan_oracles_reject_out_of_range_arguments():

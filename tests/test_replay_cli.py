@@ -224,6 +224,15 @@ def test_replay_rejects_audit_interval_below_one():
         replay(parse_trace("n=2\nI 0\n"), audit_every=0)
 
 
+def test_replay_rejects_unknown_log_format():
+    trace = parse_trace("n=2\nI 0\n")
+    with pytest.raises(ValueError, match="unknown log_format 'xml'"):
+        replay(trace, log_format="xml")
+    with pytest.raises(ValueError, match="unknown allocator 'xml'"):
+        replay(trace, allocator="xml")
+    assert replay(trace, log_format="text").request_lines[0].startswith("req=1 op=I0 ")
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
