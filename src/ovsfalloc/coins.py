@@ -22,9 +22,9 @@ charge of at most ``K`` on every request bounds the total iterations of
 charge, reads the segment list in one right-to-left pass and counts each
 free run in closed form, O(segments).  ``CoinLedger.audit`` recounts Φ by
 the definition above, ``iter_places`` and ``required_coins`` on every free
-run of the situation's walk over its pebbles (the walk ``validate`` makes,
-shared when both run on one state), so every audit also cross-checks the
-closed form.
+run of the situation's scan (the walk over the segments that ``validate``
+makes, shared when both run on one state), so every audit also
+cross-checks the closed form.
 
 A charge above the per-request budget is returned as a finding in the
 request's :class:`SettleInfo`, not silently absorbed.  The certificate is
@@ -117,7 +117,7 @@ class CoinLedger:
     ``settle`` recomputes Φ from the situation after every request, so the
     only state is the balance last seen and the running totals; no coin
     sits on any place.  ``audit`` recounts Φ literally, on the free runs
-    of a walk over the pebbles, never by the closed form.
+    of the scan that ``validate`` shares, never by the closed form.
     """
 
     def __init__(self, situation: Situation, budget: int = DEFAULT_BUDGET):
@@ -183,8 +183,8 @@ class CoinLedger:
     def audit(self, s: Situation) -> list[Violation]:
         """Recount Φ by its definition (``iter_places`` and
         ``required_coins`` on every free run of ``s.pebble_scan()``, the
-        walk over the pebbles that ``validate`` shares) and compare it with
-        the balance that ``settle`` set from the closed form."""
+        walk over the segments that ``validate`` shares) and compare it
+        with the balance that ``settle`` set from the closed form."""
         scanned = 0
         for start, end, x_level in s.pebble_scan().runs:
             if x_level is not None:

@@ -16,11 +16,12 @@ from one state) is checked for an exception, the insert reassignment
 bound and the charge of the request, and its branches are counted.  What
 depends only on the reached state (validity, every structural property
 of valid situations, oracle agreement and the independent recount of Φ)
-is checked on the state's first arrival; a later arrival only has to
-show the same segments, pebbles, occupied bandwidth and id index, or it
-is an ``index`` failure.  At height >= 4 and depth >= 6, where every
-branch is reachable, a branch the walk never ran is a ``coverage``
-failure.
+is checked on the state's first arrival, after its pebble copies are
+cross-checked with its segment list; a later arrival only has to show
+the same segments, pebbles, occupied bandwidth and id index, or the
+first part that differs is an ``index`` failure.  At height >= 4 and
+depth >= 6, where every branch is reachable, a branch the walk never ran
+is a ``coverage`` failure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .allocator import (
     apply,
 )
 from .coins import DEFAULT_BUDGET, CoinLedger
-from .model import AllocationError, Pebble, Place, RequestError, Situation
+from .model import AllocationError, InvariantError, Pebble, Place, RequestError, Situation
 
 INSERT_BRANCHES = (
     "place-direct",
@@ -354,17 +355,30 @@ _VIEW_PARTS = ("segments", "pebbles", "free bandwidth", "id index")
 
 
 def _index_view(s: Situation):
-    """What the state checks read of ``s`` beyond its key, one entry per
-    ``_VIEW_PARTS`` name: the segments, the places of the pebbles as
-    ``pebbles()`` lists them, the free bandwidth, and whether the id index
-    holds exactly those pebbles."""
+    """What the state checks read of ``s`` beyond its key, yielded one
+    entry per ``_VIEW_PARTS`` name: the segments, the places of the pebbles
+    as ``pebbles()`` lists them, the free bandwidth, and whether the id
+    index holds exactly those pebbles.  A part whose checked read fails
+    raises InvariantError when it is reached."""
+    yield s.segments()
     pebbles = s.pebbles()
-    return (
-        s.segments(),
-        tuple([(p.start, p.level) for p in pebbles]),
-        s.total_free_bandwidth(),
-        len(s) == len(pebbles) and all(p.id in s and s.pebble(p.id) is p for p in pebbles),
-    )
+    yield tuple([(p.start, p.level) for p in pebbles])
+    yield s.total_free_bandwidth()
+    yield len(s) == len(pebbles) and all(p.id in s and s.pebble(p.id) is p for p in pebbles)
+
+
+def _view_difference(s: Situation, first: tuple) -> str | None:
+    """The first ``_VIEW_PARTS`` name whose part of ``s`` differs from
+    ``first``, the view of the state's first arrival, or None; a part that
+    cannot be read differs."""
+    parts = _index_view(s)
+    for name, seen in zip(_VIEW_PARTS, first):
+        try:
+            if next(parts) != seen:
+                return name
+        except InvariantError:
+            return name
+    return None
 
 
 def _admissible(s: Situation):
@@ -390,12 +404,14 @@ def exhaustive_verify(
     edge checks (exception, insert bound, charge) run on every edge; the
     state checks (``validate``, ``structural_failures``, the P4 audit) run
     on the first edge that reaches a state, the first edge back to the
-    empty root included, and every later arrival must match the first
-    one's :func:`_index_view` or fail with stage ``index``.  Stops at the
-    first failure and reports the request sequence leading to it.  Full
-    branch coverage is required exactly when the bounds reach every
-    branch (height >= 4 and depth >= 6), and a miss is a ``coverage``
-    failure; smaller instances pass without the deep branches.
+    empty root included, after ``cross_check`` has matched every pebble
+    copy with the segment list; every later arrival must match the first
+    one's :func:`_index_view`.  A mismatch of either kind fails with stage
+    ``index``.  Stops at the first failure and reports the request
+    sequence leading to it.  Full branch coverage is required exactly
+    when the bounds reach every branch (height >= 4 and depth >= 6), and
+    a miss is a ``coverage`` failure; smaller instances pass without the
+    deep branches.
     """
     if n < 0:
         raise ValueError(f"height must be >= 0, got {n}")
@@ -458,9 +474,13 @@ def exhaustive_verify(
                         fail(key, token, "insert-bound", f"{moves} reassignments")
                         break
                 key2 = s.to_pairs()
-                view = _index_view(s)
                 first = key2 not in checked
                 if first:
+                    try:
+                        s.cross_check()
+                    except InvariantError as exc:
+                        fail(key, token, "index", str(exc))
+                        break
                     violations = s.validate()
                     if violations:
                         fail(key, token, "validate", "; ".join(map(str, violations[:3])))
@@ -469,12 +489,11 @@ def exhaustive_verify(
                     if problems:
                         fail(key, token, "structure", "; ".join(problems[:3]))
                         break
-                elif view != checked[key2]:
-                    parts = ", ".join(
-                        k for k, a, b in zip(_VIEW_PARTS, view, checked[key2]) if a != b
-                    )
-                    fail(key, token, "index", f"{parts} differ from the first arrival")
-                    break
+                else:
+                    part = _view_difference(s, checked[key2])
+                    if part is not None:
+                        fail(key, token, "index", f"{part} differ from the first arrival")
+                        break
                 try:
                     info = ledger.settle(s, log)
                     ledger.balance_check()
@@ -491,9 +510,10 @@ def exhaustive_verify(
                     if p4:
                         fail(key, token, "audit", "; ".join(map(str, p4[:3])))
                         break
-                    if view[1] == key2:  # hold the key's pairs, not an equal copy
-                        view = (view[0], key2, *view[2:])
-                    checked[key2] = view
+                    # the state's _index_view, read off what cross_check
+                    # matched: every stored copy sits where the segments,
+                    # and so the key, put it, and the id index holds them all
+                    checked[key2] = (s.segments(), key2, s.total_free_bandwidth(), True)
                 if key2 not in parents:
                     parents[key2] = (key, token)
                     nxt.append(key2)

@@ -4,11 +4,13 @@ The replay engine owns the checking policy: by default it re-validates the
 situation after every request and, for the main allocator, charges each
 request ``iterations + ΔΦ`` coins against the potential Φ and audits Φ by
 an independent recount.  Big benchmark runs can disable per-step
-validation and thin out audits; the final state is always audited.  Any
-failure ends the replay with a ``ReplayError`` naming the request; a
-failed audit carries its P4 detail.  Statistics and log lines (none
-unless a ``log_format`` is given) read each request's charge from the
-``SettleInfo`` that settling it returned.
+validation and thin out audits; the final state is always audited, and
+every pebble copy in it is cross-checked against the segment list.  Any
+failure, a typed error raised by a checked read included, ends the replay
+with a ``ReplayError`` naming the request; a failed audit carries its P4
+detail.  Statistics and log lines (none unless a ``log_format`` is
+given) read each request's charge from the ``SettleInfo`` that settling
+it returned.
 """
 
 from __future__ import annotations
@@ -121,9 +123,20 @@ def replay(
     stats = RunStats()
     lines: list[str] = []
 
+    last = len(trace.requests)
     for index, request in enumerate(trace.requests, start=1):
         try:
             log = _dispatch(s, request, allocator)
+            if validate_each:
+                violations = s.validate()
+                if violations:
+                    raise ReplayError(index, f"invariant broken: {violations[0]}")
+            if ledger is not None:
+                info = ledger.settle(s, log)
+                if index % audit_every == 0 or index == last:
+                    failures = ledger.audit(s)
+                    if failures:
+                        raise ReplayError(index, f"P4 audit failed: {failures[0]}")
         except AllocationError as exc:
             raise _request_error(index, exc) from exc
         stats.m += 1
@@ -135,19 +148,7 @@ def replay(
         stats.total_delete_iterations += log.iterations
         if log.relabel is not None:
             stats.relabels += 1
-        if validate_each:
-            violations = s.validate()
-            if violations:
-                raise ReplayError(index, f"invariant broken: {violations[0]}")
         if ledger is not None:
-            audited = index % audit_every == 0 or index == len(trace.requests)
-            try:
-                info = ledger.settle(s, log)
-                failures = ledger.audit(s) if audited else []
-            except AllocationError as exc:
-                raise _request_error(index, exc) from exc
-            if failures:
-                raise ReplayError(index, f"P4 audit failed: {failures[0]}")
             stats.total_injected += info.injected
             stats.total_consumed += info.consumed
             stats.max_injected = max(stats.max_injected, info.injected)
@@ -175,15 +176,16 @@ def replay(
                 if ledger is not None:
                     lines.append(ledger.report_line(info))
 
-    if not validate_each:
-        violations = s.validate()
-        if violations:
-            raise ReplayError(len(trace.requests), f"final state invalid: {violations[0]}")
-    if ledger is not None:
-        try:
+    try:
+        s.cross_check()
+        if not validate_each:
+            violations = s.validate()
+            if violations:
+                raise ReplayError(last, f"final state invalid: {violations[0]}")
+        if ledger is not None:
             ledger.balance_check()
-        except AllocationError as exc:
-            raise _request_error(len(trace.requests), exc) from exc
+    except AllocationError as exc:
+        raise _request_error(last, exc) from exc
     stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     return ReplayResult(stats, s, ledger, lines)
 

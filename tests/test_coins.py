@@ -40,9 +40,9 @@ def test_iter_places_greedy_decomposition():
 
 
 def _ref_potential(s: Situation) -> int:
-    """Φ(s) from the segment list: one ``smallest_level_right`` per run."""
+    """Φ(s) from the scan's free runs: one ``smallest_level_right`` per run."""
     total = 0
-    for start, end in s.free_runs():
+    for start, end, _ in s.pebble_scan().runs:
         x_level = s.smallest_level_right(start)
         if x_level is not None:
             total += run_potential(start, end, x_level, s.n)

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ovsfalloc.allocator import apply
 from ovsfalloc.coins import CoinLedger, iter_places, potential, required_coins
 from ovsfalloc.model import (
     BLACK,
@@ -392,7 +393,6 @@ def _check_queries_against_scans(s):
             runs[-1] = (runs[-1][0], q + 1)
         else:
             runs.append((q, q + 1))
-    assert s.free_runs() == runs
     scan_runs = s.pebble_scan().runs
     assert [(start, end) for start, end, _ in scan_runs] == runs
     for start, end, x_level in scan_runs:
@@ -406,6 +406,7 @@ def _check_queries_against_scans(s):
             phi += sum(required_coins(p.size, x) for p in iter_places(start, end, s.n))
     assert potential(s) == phi
     assert CoinLedger(s).audit(s) == []  # the audit's own scan agrees
+    assert s.pebble_scan() == scan_pebbles(s.pebbles(), s.leaves)
 
 
 @settings(max_examples=40, deadline=None)
@@ -429,3 +430,207 @@ def test_queries_agree_with_scans_on_random_states(seed):
         elif s.block_free(level, start):
             s.place_pebble(level, start)
     _check_queries_against_scans(s)
+
+
+@pytest.mark.parametrize("by_id", [False, True])
+def test_segment_scan_matches_pebble_scan_on_trace_states(by_id):
+    # every state of valid traces, at heights where runs are long
+    states = 0
+    for n in range(2, 11):
+        trace = gen_random_trace(n, 300, seed=100 + n, insert_ratio=0.6, by_id=by_id)
+        s = Situation(n)
+        _assert_scan_fresh(s)
+        for request in trace.requests:
+            apply(s, request)
+            _assert_scan_fresh(s)
+            states += 1
+    assert states == 9 * 300
+
+
+def test_segment_scan_matches_pebble_scan_on_arbitrary_layouts():
+    # layouts built through the public mutators, most of them invalid:
+    # white runs, P1 runs and P3 windows across segment ends
+    rng = random.Random(20073)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        s = Situation(n)
+        for _ in range(40):
+            level = rng.randint(0, min(n, 3))
+            start = rng.randrange(0, s.leaves, 1 << level)
+            if len(s) and rng.random() < 0.25:
+                s.remove_pebble(rng.choice([p.id for p in s.pebbles()]))
+            elif s.block_free(level, start):
+                s.place_pebble(level, start)
+            _assert_scan_fresh(s)
+            kinds.update(v.kind for v in s.validate())
+    assert kinds == {"P1", "P2", "P3"}
+
+
+def _raw_situation(n, segs):
+    """A Situation whose segment list is ``segs`` as given (unsorted,
+    overlapping, misaligned or past the tree end), with a consistent
+    pebble copy at each start."""
+    s = Situation(n)
+    s._segs = list(segs)
+    pid = 0
+    for start, level, count in segs:
+        for k in range(count):
+            pid += 1
+            s._at[start + (k << level)] = s._peb[pid] = Pebble(pid, level, start + (k << level))
+    return s
+
+
+def test_segment_scan_matches_pebble_scan_on_raw_segment_lists():
+    # segment lists no mutator builds, so every irregular case of the run
+    # scan is compared with the per-pebble scan of the same pebbles
+    rng = random.Random(20074)
+    kinds = set()
+    for _ in range(5_000):
+        segs = []
+        for _ in range(rng.randrange(6)):
+            level = rng.randrange(3)
+            segs.append((rng.randrange(20), level, rng.randint(1, 4)))
+        if rng.random() < 0.7:
+            segs.sort()
+        starts = [start + (k << level) for start, level, count in segs for k in range(count)]
+        if len(set(starts)) != len(starts):
+            continue  # one start holds one copy, so the walk could not list both
+        s = _raw_situation(4, segs)
+        for leaves in (16, 32):
+            s.leaves = leaves
+            s._scan = None
+            assert s.pebble_scan() == scan_pebbles(s.pebbles(), leaves), segs
+            kinds.update(v.kind for v in s.validate())
+    assert kinds == {"alignment", "overlap", "P1", "P2", "P3"}
+
+
+def _valid_state():
+    # segments 2x4@0 (black), 2@8 (white), 4x8@16 (black) at height 6
+    s = Situation(6)
+    for level, start in [(2, 0), (2, 4), (1, 8), (3, 16), (3, 24), (3, 32), (3, 40)]:
+        s.place_pebble(level, start)
+    assert s.validate() == [] and len(s.segments()) == 3
+    s.cross_check()
+    return s
+
+
+def _stray_at_key(s):
+    s._at[12] = Pebble(99, 0, 12)  # a copy at a free start
+
+
+def _peb_outside(s):
+    p = s.pebble_at(24)
+    s._peb[p.id] = Pebble(p.id, 3, 64)  # past the tree's end
+
+
+def _smaller_interior_copy(s):
+    p = s.pebble_at(24)
+    s._at[24] = s._peb[p.id] = Pebble(p.id, 2, 24)
+
+
+def _dropped_at_key(s):
+    del s._at[32]
+
+
+def _segment_short_by_one(s):
+    start, level, count = s._segs[-1]
+    s._segs[-1] = (start, level, count - 1)
+
+
+def _segment_split(s):
+    start, level, count = s._segs[0]
+    s._segs[:1] = [(start, level, 1), (start + (1 << level), level, count - 1)]
+
+
+def _occupied_off(s):
+    s._occupied -= 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _stray_at_key,
+        _peb_outside,
+        _smaller_interior_copy,
+        _dropped_at_key,
+        _segment_short_by_one,
+        _segment_split,
+        _occupied_off,
+    ],
+)
+def test_cross_check_finds_each_planted_corruption(corrupt):
+    s = _valid_state()
+    corrupt(s)
+    with pytest.raises(InvariantError):
+        s.cross_check()
+
+
+def test_validate_alone_misses_what_the_cross_check_finds():
+    # the segment walk reads no stored copy for a valid layout, so these
+    # corruptions leave validate() clean: the cross-check is what sees them
+    for corrupt in (_stray_at_key, _peb_outside, _smaller_interior_copy):
+        s = _valid_state()
+        corrupt(s)
+        s._scan = None
+        assert s.validate() == []
+        with pytest.raises(InvariantError):
+            s.cross_check()
+
+
+def test_checked_reads_refuse_a_stray_copy():
+    s = _valid_state()
+    _smaller_interior_copy(s)
+    victim = s._at[24].id
+    for read in (
+        lambda: s.pebble_at(24),
+        lambda: s.pebble_before(25),
+        lambda: s.pebble_after(16),
+        lambda: s.pebbles(),
+        lambda: s.remove_pebble(victim),
+    ):
+        with pytest.raises(InvariantError):
+            read()
+
+    s = _valid_state()
+    last = s.pebble_at(40)
+    s._at[40] = Pebble(last.id, 2, 40)  # the id index keeps the true copy
+    with pytest.raises(InvariantError):
+        s.rightmost_of_level(3)
+    with pytest.raises(InvariantError):
+        s.pebble(last.id)
+    with pytest.raises(InvariantError):
+        s.relabel_pebble(last.id, 77)
+
+    s = _valid_state()
+    _peb_outside(s)
+    moved = s._peb[s._at[24].id]
+    with pytest.raises(InvariantError):
+        s.pebble(moved.id)
+    with pytest.raises(InvariantError):
+        s.move_pebble(moved.id, 48)
+
+    s = _valid_state()
+    _stray_at_key(s)
+    with pytest.raises(InvariantError):
+        s.pebble_at(12)
+    with pytest.raises(InvariantError):
+        s.place_pebble(2, 12)
+    assert s.pebble_at(13) is None
+
+    s = _valid_state()
+    _segment_short_by_one(s)  # the copy at 40 is stored, but no segment holds it
+    with pytest.raises(InvariantError):
+        s.pebble_at(40)
+    with pytest.raises(InvariantError):
+        s.remove_pebble(s._at[40].id)
+
+
+def test_violation_witnesses_are_read_checked():
+    # an invalid layout: its witnesses are read from the stored copies
+    s, ids = build(4, [(4, 0), (1, 5), (2, 8)])
+    assert any(ids[(1, 5)] in v.pebbles for v in s.validate())
+    s._at[5] = s._peb[ids[(1, 5)]] = Pebble(ids[(1, 5)], 1, 5)
+    s._scan = None
+    with pytest.raises(InvariantError):
+        s.validate()

@@ -260,6 +260,57 @@ def test_index_guard_fires_on_a_repeat_arrival(monkeypatch, corrupt, part):
     assert _replay_tokens(4, failure.trace) == key
 
 
+@pytest.mark.parametrize(
+    "corrupt, detail",
+    [
+        (_split_first_segment, "does not follow one ending at"),
+        (_bump_occupied, "occupied bandwidth"),
+        (_drop_id, "the pebbles stored by id are not those in segments"),
+        (_misplace_last, "the pebble stored at"),
+    ],
+)
+def test_cross_check_fires_on_a_first_arrival(monkeypatch, corrupt, detail):
+    reached = set()
+    corrupted = []
+    real_apply = oracle.apply
+
+    def apply_(s, request, options=None):
+        log = real_apply(s, request, options)
+        key = s.to_pairs()
+        if key not in reached and not corrupted and s._segs and s._segs[0][2] > 1:
+            corrupt(s)
+            corrupted.append(log.op_token())
+        reached.add(key)
+        return log
+
+    monkeypatch.setattr(oracle, "apply", apply_)
+    report = exhaustive_verify(4, 6)
+    assert not report.ok and len(corrupted) == 1
+    [failure] = report.failures
+    assert failure.stage == "index"
+    assert detail in failure.detail
+    assert failure.trace[-1] == corrupted[0]
+
+
+def test_first_arrival_view_is_read_off_the_cross_check(monkeypatch):
+    # the walk stores (segments, key, free bandwidth, True) as the view of a
+    # state whose copies passed cross_check: _index_view's answer on it
+    states = set()
+    real_apply = oracle.apply
+
+    def apply_(s, request, options=None):
+        log = real_apply(s, request, options)
+        s.cross_check()
+        view = (s.segments(), s.to_pairs(), s.total_free_bandwidth(), True)
+        assert tuple(oracle._index_view(s)) == view
+        states.add(view[1])
+        return log
+
+    monkeypatch.setattr(oracle, "apply", apply_)
+    report = exhaustive_verify(4, 6)
+    assert report.ok and len(states) == report.states
+
+
 def _replay_tokens(n, tokens):
     """The pairs of the state a walk trace such as ``("I1", "D0")`` reaches."""
     text = f"n={n}\n" + "".join(f"{tok[0]} {tok[1:]}\n" for tok in tokens)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -7,13 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from ovsfalloc import coins
+from ovsfalloc import coins, model
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
-from ovsfalloc.model import InvariantError, Situation
+from ovsfalloc.model import InvariantError, Pebble, Situation
 from ovsfalloc.render import render
 from ovsfalloc.replay import ReplayError, replay
-from ovsfalloc.workloads import Trace, gen_cascade_trace, gen_random_trace, parse_trace
+from ovsfalloc.workloads import (
+    Trace,
+    gen_cascade_trace,
+    gen_random_trace,
+    parse_trace,
+    serialize_trace,
+)
 
 
 def test_render_examples():
@@ -125,6 +132,104 @@ def test_ledger_errors_cite_request_index(tmp_path, capsys, monkeypatch, method)
     path = _write(tmp_path, "t.trace", "n=3\nI 0\nI 1\n")
     assert main(["run", path]) == 1
     assert capsys.readouterr().err == "error: request 1: InvariantError: ledger out of step\n"
+
+
+# the module, not the same-named function the package exports
+REPLAY = importlib.import_module("ovsfalloc.replay")
+
+
+def _plant_stray_at_key(s):
+    start = s.first_free_place(0).start
+    s._at[start] = Pebble(10**6, 0, start)
+
+
+def _plant_peb_outside_the_tree(s):
+    pid = s.pebbles()[-1].id
+    s._peb[pid] = Pebble(pid, 1, s.leaves + 18)  # 2@4114 at height 12
+
+
+def _plant_smaller_interior_copy(s):
+    first, level, count = next(seg for seg in s.segments() if seg[1] and seg[2] > 1)
+    start = first + (1 << level)
+    pid = s.pebble_at(start).id
+    s._at[start] = s._peb[pid] = Pebble(pid, level - 1, start)
+
+
+def _plant_dropped_id(s):
+    del s._peb[s.pebbles()[-1].id]
+
+
+def _plant_short_segment(s):
+    start, level, count = s._segs[-1]
+    s._segs[-1:] = [(start, level, count - 1)] if count > 1 else []
+
+
+PLANTS = [
+    _plant_stray_at_key,
+    _plant_peb_outside_the_tree,
+    _plant_smaller_interior_copy,
+    _plant_dropped_id,
+    _plant_short_segment,
+]
+PLANT_AT = 1000
+
+
+def _plant_once(monkeypatch, plant):
+    real = REPLAY.apply
+    seen = []
+
+    def apply_(s, request, *args):
+        log = real(s, request, *args)
+        seen.append(request)
+        if len(seen) == PLANT_AT:
+            plant(s)
+        return log
+
+    monkeypatch.setattr(REPLAY, "apply", apply_)
+
+
+def _checked12_trace():
+    return gen_random_trace(12, 2000, seed=12, insert_ratio=0.6, by_id=True)
+
+
+@pytest.mark.parametrize("validate_each", [True, False])
+@pytest.mark.parametrize("plant", PLANTS)
+def test_planted_corruption_fails_the_replay_typed(monkeypatch, plant, validate_each):
+    _plant_once(monkeypatch, plant)
+    with pytest.raises(ReplayError) as info:
+        replay(_checked12_trace(), validate_each=validate_each)
+    assert PLANT_AT <= info.value.index <= 2000
+    assert str(info.value).startswith(f"request {info.value.index}: ")
+
+
+@pytest.mark.parametrize("plant", PLANTS)
+def test_cli_exits_1_on_a_planted_corruption(tmp_path, capsys, monkeypatch, plant):
+    path = _write(tmp_path, "t.trace", serialize_trace(_checked12_trace()))
+    _plant_once(monkeypatch, plant)
+    assert main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: request ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_checked_replay_walks_the_pebbles_once(monkeypatch):
+    # validate reads the segments: the only O(pebbles) walk of a checked
+    # replay is its final cross-check, and a valid layout reads no witness
+    calls = {"pebbles": 0, "scan_pebbles": 0, "witness": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Situation, "pebbles", counted("pebbles", Situation.pebbles))
+    monkeypatch.setattr(Situation, "_witness", counted("witness", Situation._witness))
+    monkeypatch.setattr(model, "scan_pebbles", counted("scan_pebbles", model.scan_pebbles))
+    res = replay(_checked12_trace(), validate_each=True)
+    assert res.stats.m == 2000
+    assert calls == {"pebbles": 1, "scan_pebbles": 0, "witness": 0}
 
 
 def test_stat_lines_deterministic_and_exclude_wall_time():
