@@ -16,7 +16,7 @@ import sys
 
 from .allocator import AllocatorOptions
 from .coins import DEFAULT_BUDGET
-from .model import SnapshotError, parse_snapshot
+from .model import RequestError, SnapshotError, parse_snapshot
 from .oracle import exhaustive_verify
 from .render import render
 from .replay import ReplayError, replay
@@ -202,13 +202,16 @@ def _cmd_render(args) -> int:
         except ReplayError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(render(result.situation))
-        return 0
+        situation = result.situation
+    else:
+        try:
+            situation = parse_snapshot(text)
+        except SnapshotError as exc:
+            return _usage_error(str(exc))
     try:
-        situation = parse_snapshot(text)
-    except SnapshotError as exc:
+        print(render(situation))
+    except RequestError as exc:
         return _usage_error(str(exc))
-    print(render(situation))
     return 0
 
 

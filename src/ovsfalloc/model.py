@@ -305,9 +305,9 @@ class Situation:
 
     The segment list is not trusted to agree with the pebble copies in
     ``_at`` and ``_peb``: every read of a copy is checked against the place
-    the list (or, for ``pebble``, ``_at``) gives it, every write checks the
-    copy it replaces, and :meth:`cross_check` compares all of them in
-    O(pebbles).  A mismatch raises :class:`InvariantError`.
+    the list gives it, every write checks the copy it replaces, and
+    :meth:`cross_check` compares all of them in O(pebbles).  A mismatch
+    raises :class:`InvariantError`.
 
     ``_scan`` keeps the last :class:`PebbleScan`, walked over the segments,
     so that ``validate`` and the coin audit of one state share a single
@@ -468,8 +468,8 @@ class Situation:
             pebble = self._peb[pid]
         except KeyError:
             raise RequestError(f"unknown pebble id {pid}") from None
-        if self._at.get(pebble.start) is not pebble:
-            raise InvariantError(f"pebble {pid} is not the one stored at its start {pebble.start}")
+        if self.pebble_at(pebble.start) is not pebble:
+            raise InvariantError(f"pebble {pid} is not the one the segments put at {pebble.start}")
         return pebble
 
     def _read(self, start: int, level: int) -> Pebble:

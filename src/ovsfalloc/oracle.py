@@ -13,15 +13,14 @@ sized by ``2**n``.  ``structural_failures`` makes one such pass per call.
 request sequence up to a depth bound.  The walk keys each state on its
 pebbles alone, since Φ is a function of them.  Every edge (one request
 from one state) is checked for an exception, the insert reassignment
-bound and the charge of the request, and its branches are counted.  What
-depends only on the reached state (validity, every structural property
-of valid situations, oracle agreement and the independent recount of Φ)
-is checked on the state's first arrival, after its pebble copies are
-cross-checked with its segment list; a later arrival only has to show
-the same segments, pebbles, occupied bandwidth and id index, or the
-first part that differs is an ``index`` failure.  At height >= 4 and
-depth >= 6, where every branch is reachable, a branch the walk never ran
-is a ``coverage`` failure.
+bound and the charge of the request, its branches are counted, and the
+reached state's pebble copies are cross-checked with its segment list,
+a mismatch being an ``index`` failure.  Once that passes, the key fixes
+the whole state, so what depends only on it (validity, every structural
+property of valid situations, oracle agreement and the independent
+recount of Φ) is checked on the state's first arrival alone.  At height
+>= 4 and depth >= 6, where every branch is reachable, a branch the walk
+never ran is a ``coverage`` failure.
 """
 
 from __future__ import annotations
@@ -351,36 +350,6 @@ def _rebuild(n: int, pairs, budget: int):
     return s, CoinLedger(s, budget)
 
 
-_VIEW_PARTS = ("segments", "pebbles", "free bandwidth", "id index")
-
-
-def _index_view(s: Situation):
-    """What the state checks read of ``s`` beyond its key, yielded one
-    entry per ``_VIEW_PARTS`` name: the segments, the places of the pebbles
-    as ``pebbles()`` lists them, the free bandwidth, and whether the id
-    index holds exactly those pebbles.  A part whose checked read fails
-    raises InvariantError when it is reached."""
-    yield s.segments()
-    pebbles = s.pebbles()
-    yield tuple([(p.start, p.level) for p in pebbles])
-    yield s.total_free_bandwidth()
-    yield len(s) == len(pebbles) and all(p.id in s and s.pebble(p.id) is p for p in pebbles)
-
-
-def _view_difference(s: Situation, first: tuple) -> str | None:
-    """The first ``_VIEW_PARTS`` name whose part of ``s`` differs from
-    ``first``, the view of the state's first arrival, or None; a part that
-    cannot be read differs."""
-    parts = _index_view(s)
-    for name, seen in zip(_VIEW_PARTS, first):
-        try:
-            if next(parts) != seen:
-                return name
-        except InvariantError:
-            return name
-    return None
-
-
 def _admissible(s: Situation):
     free = s.total_free_bandwidth()
     for level in range(s.n + 1):
@@ -401,13 +370,12 @@ def exhaustive_verify(
     requests, checking every edge and every state it reaches.
 
     Deduplicates on the pebble set and expands each state once.  The per-
-    edge checks (exception, insert bound, charge) run on every edge; the
-    state checks (``validate``, ``structural_failures``, the P4 audit) run
-    on the first edge that reaches a state, the first edge back to the
-    empty root included, after ``cross_check`` has matched every pebble
-    copy with the segment list; every later arrival must match the first
-    one's :func:`_index_view`.  A mismatch of either kind fails with stage
-    ``index``.  Stops at the first failure and reports the request
+    edge checks (exception, insert bound, ``cross_check`` of every pebble
+    copy against the segment list, charge) run on every edge, and a
+    failed cross-check has stage ``index``; the state checks
+    (``validate``, ``structural_failures``, the P4 audit) run on the first
+    edge that reaches a state, the first edge back to the empty root
+    included.  Stops at the first failure and reports the request
     sequence leading to it.  Full branch coverage is required exactly
     when the bounds reach every branch (height >= 4 and depth >= 6), and
     a miss is a ``coverage`` failure; smaller instances pass without the
@@ -421,9 +389,9 @@ def exhaustive_verify(
     report = VerifyReport(n=n, depth=depth)
     root = ()
     parents: dict = {root: None}  # state key -> (parent key, token) of its first edge
-    # state key -> its _index_view on the first edge that reached it; kept
-    # apart from ``parents``, which holds the root before any edge reaches it
-    checked: dict = {}
+    # keys of the states checked so far; kept apart from ``parents``, which
+    # holds the root before any edge reaches it
+    checked: set = set()
     frontier = [root]
 
     def trace_of(key, token=None) -> tuple[str, ...]:
@@ -474,13 +442,13 @@ def exhaustive_verify(
                         fail(key, token, "insert-bound", f"{moves} reassignments")
                         break
                 key2 = s.to_pairs()
+                try:
+                    s.cross_check()
+                except InvariantError as exc:
+                    fail(key, token, "index", str(exc))
+                    break
                 first = key2 not in checked
                 if first:
-                    try:
-                        s.cross_check()
-                    except InvariantError as exc:
-                        fail(key, token, "index", str(exc))
-                        break
                     violations = s.validate()
                     if violations:
                         fail(key, token, "validate", "; ".join(map(str, violations[:3])))
@@ -488,11 +456,6 @@ def exhaustive_verify(
                     problems = structural_failures(s)
                     if problems:
                         fail(key, token, "structure", "; ".join(problems[:3]))
-                        break
-                else:
-                    part = _view_difference(s, checked[key2])
-                    if part is not None:
-                        fail(key, token, "index", f"{part} differ from the first arrival")
                         break
                 try:
                     info = ledger.settle(s, log)
@@ -510,10 +473,7 @@ def exhaustive_verify(
                     if p4:
                         fail(key, token, "audit", "; ".join(map(str, p4[:3])))
                         break
-                    # the state's _index_view, read off what cross_check
-                    # matched: every stored copy sits where the segments,
-                    # and so the key, put it, and the id index holds them all
-                    checked[key2] = (s.segments(), key2, s.total_free_bandwidth(), True)
+                    checked.add(key2)
                 if key2 not in parents:
                     parents[key2] = (key, token)
                     nxt.append(key2)

@@ -5,15 +5,21 @@ leaf position it covers; free leaves print as dots.  The output is stable
 and injective up to this format: sizes, order, colors and gaps are all
 recoverable.
 
-``{4@0, 1@4}`` at height 3 renders as ``[BBBB][W]...``.
+``{4@0, 1@4}`` at height 3 renders as ``[BBBB][W]...``.  A tree taller
+than ``MAX_HEIGHT`` (more than 1 Mi leaves) is refused with a
+:class:`RequestError`.
 """
 
 from __future__ import annotations
 
-from .model import Situation
+from .model import RequestError, Situation
+
+MAX_HEIGHT = 20
 
 
 def render(s: Situation) -> str:
+    if s.n > MAX_HEIGHT:
+        raise RequestError(f"height {s.n} is above {MAX_HEIGHT}: too many leaves to draw")
     parts: list[str] = []
     cursor = 0
     running_max = 0

@@ -583,6 +583,9 @@ def test_checked_reads_refuse_a_stray_copy():
     _smaller_interior_copy(s)
     victim = s._at[24].id
     for read in (
+        lambda: s.pebble(victim),
+        lambda: s.is_black(victim),
+        lambda: s.relabel_pebble(victim, 77),
         lambda: s.pebble_at(24),
         lambda: s.pebble_before(25),
         lambda: s.pebble_after(16),
@@ -622,6 +625,8 @@ def test_checked_reads_refuse_a_stray_copy():
     _segment_short_by_one(s)  # the copy at 40 is stored, but no segment holds it
     with pytest.raises(InvariantError):
         s.pebble_at(40)
+    with pytest.raises(InvariantError):
+        s.pebble(s._at[40].id)
     with pytest.raises(InvariantError):
         s.remove_pebble(s._at[40].id)
 

@@ -175,11 +175,12 @@ def test_failing_state_fails_on_its_first_arrival(monkeypatch, pairs, failure):
 
 @pytest.mark.parametrize("n, depth", [(4, 6), (5, 6)])
 def test_each_state_checked_once(monkeypatch, n, depth):
-    calls = {"structure": 0, "validate": 0}
+    calls = {"structure": 0, "validate": 0, "cross_check": 0}
     reached = set()
     real_apply = oracle.apply
     real_structure = oracle.structural_failures
     real_validate = Situation.validate
+    real_cross_check = Situation.cross_check
 
     def apply_(s, request, options=None):
         log = real_apply(s, request, options)
@@ -190,6 +191,10 @@ def test_each_state_checked_once(monkeypatch, n, depth):
         calls["structure"] += 1
         return real_structure(s)
 
+    def cross_check(self):
+        calls["cross_check"] += 1
+        return real_cross_check(self)
+
     def validate(self):
         # structural_failures validates a trimmed copy; count the walk's own calls
         if sys._getframe(1).f_code is exhaustive_verify.__code__:
@@ -199,10 +204,16 @@ def test_each_state_checked_once(monkeypatch, n, depth):
     monkeypatch.setattr(oracle, "apply", apply_)
     monkeypatch.setattr(oracle, "structural_failures", structure)
     monkeypatch.setattr(Situation, "validate", validate)
+    monkeypatch.setattr(Situation, "cross_check", cross_check)
     report = exhaustive_verify(n, depth)
     assert report.ok
-    assert report.transitions > len(reached) == report.states
-    assert calls == {"structure": len(reached), "validate": len(reached)}
+    assert report.transitions == {4: 603, 5: 1988}[n] > len(reached) == report.states
+    # the index guard runs on every edge, the state checks once per state
+    assert calls == {
+        "structure": len(reached),
+        "validate": len(reached),
+        "cross_check": report.transitions,
+    }
 
 
 def _split_first_segment(s):
@@ -224,16 +235,24 @@ def _misplace_last(s):
     s._at[last.start] = s._peb[last.id] = Pebble(last.id, last.level, last.start + 1)
 
 
+def _stray_at_key(s):
+    start = s.first_free_place(0).start
+    s._at[start] = Pebble(10**6, 0, start)
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["first", "repeat"])
 @pytest.mark.parametrize(
-    "corrupt, part",
+    "corrupt, detail",
     [
-        (_split_first_segment, "segments"),
-        (_bump_occupied, "free bandwidth"),
-        (_drop_id, "id index"),
-        (_misplace_last, "pebbles"),
+        (_split_first_segment, "does not follow one ending at"),
+        (_bump_occupied, "occupied bandwidth"),
+        (_drop_id, "the pebbles stored by id are not those in segments"),
+        (_misplace_last, "the pebble stored at"),
+        (_stray_at_key, "pebbles stored by start"),
     ],
+    ids=["split-segment", "occupied", "dropped-id", "misplaced", "stray-at-key"],
 )
-def test_index_guard_fires_on_a_repeat_arrival(monkeypatch, corrupt, part):
+def test_index_guard_fires_on_every_arrival(monkeypatch, corrupt, detail, repeat):
     reached = set()
     corrupted = []
     real_apply = oracle.apply
@@ -242,7 +261,13 @@ def test_index_guard_fires_on_a_repeat_arrival(monkeypatch, corrupt, part):
         before = s.to_pairs()
         log = real_apply(s, request, options)
         key = s.to_pairs()
-        if key in reached and not corrupted and s._segs and s._segs[0][2] > 1:
+        if (
+            (key in reached) == repeat
+            and not corrupted
+            and s._segs
+            and s._segs[0][2] > 1
+            and s.total_free_bandwidth()
+        ):
             corrupt(s)
             corrupted.append((before, log.op_token(), key))
         reached.add(key)
@@ -253,62 +278,11 @@ def test_index_guard_fires_on_a_repeat_arrival(monkeypatch, corrupt, part):
     assert not report.ok and len(corrupted) == 1
     [failure] = report.failures
     assert failure.stage == "index"
-    assert failure.detail == f"{part} differ from the first arrival"
+    assert detail in failure.detail
     before, token, key = corrupted[0]
     assert failure.trace[-1] == token
     assert _replay_tokens(4, failure.trace[:-1]) == before
     assert _replay_tokens(4, failure.trace) == key
-
-
-@pytest.mark.parametrize(
-    "corrupt, detail",
-    [
-        (_split_first_segment, "does not follow one ending at"),
-        (_bump_occupied, "occupied bandwidth"),
-        (_drop_id, "the pebbles stored by id are not those in segments"),
-        (_misplace_last, "the pebble stored at"),
-    ],
-)
-def test_cross_check_fires_on_a_first_arrival(monkeypatch, corrupt, detail):
-    reached = set()
-    corrupted = []
-    real_apply = oracle.apply
-
-    def apply_(s, request, options=None):
-        log = real_apply(s, request, options)
-        key = s.to_pairs()
-        if key not in reached and not corrupted and s._segs and s._segs[0][2] > 1:
-            corrupt(s)
-            corrupted.append(log.op_token())
-        reached.add(key)
-        return log
-
-    monkeypatch.setattr(oracle, "apply", apply_)
-    report = exhaustive_verify(4, 6)
-    assert not report.ok and len(corrupted) == 1
-    [failure] = report.failures
-    assert failure.stage == "index"
-    assert detail in failure.detail
-    assert failure.trace[-1] == corrupted[0]
-
-
-def test_first_arrival_view_is_read_off_the_cross_check(monkeypatch):
-    # the walk stores (segments, key, free bandwidth, True) as the view of a
-    # state whose copies passed cross_check: _index_view's answer on it
-    states = set()
-    real_apply = oracle.apply
-
-    def apply_(s, request, options=None):
-        log = real_apply(s, request, options)
-        s.cross_check()
-        view = (s.segments(), s.to_pairs(), s.total_free_bandwidth(), True)
-        assert tuple(oracle._index_view(s)) == view
-        states.add(view[1])
-        return log
-
-    monkeypatch.setattr(oracle, "apply", apply_)
-    report = exhaustive_verify(4, 6)
-    assert report.ok and len(states) == report.states
 
 
 def _replay_tokens(n, tokens):

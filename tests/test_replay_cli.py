@@ -202,6 +202,16 @@ def test_planted_corruption_fails_the_replay_typed(monkeypatch, plant, validate_
     assert str(info.value).startswith(f"request {info.value.index}: ")
 
 
+@pytest.mark.parametrize("validate_each", [True, False])
+def test_by_id_read_of_a_planted_copy_fails_there(monkeypatch, validate_each):
+    # request 1071 (DID 385) is the first read of the planted pebble by id
+    _plant_once(monkeypatch, _plant_smaller_interior_copy)
+    with pytest.raises(ReplayError) as info:
+        replay(_checked12_trace(), validate_each=validate_each)
+    assert info.value.index == 1071
+    assert isinstance(info.value.__cause__, InvariantError)
+
+
 @pytest.mark.parametrize("plant", PLANTS)
 def test_cli_exits_1_on_a_planted_corruption(tmp_path, capsys, monkeypatch, plant):
     path = _write(tmp_path, "t.trace", serialize_trace(_checked12_trace()))
@@ -354,6 +364,17 @@ def test_cli_rejects_negative_heights(tmp_path, capsys):
     snap = _write(tmp_path, "neg.snap", "n=-2\n")
     assert main(["render", snap]) == 2
     assert capsys.readouterr().err == "error: line 1: negative height -2\n"
+
+
+def test_cli_render_refuses_a_tall_tree(tmp_path, capsys):
+    # one character per leaf: 2**64 of them cannot be drawn
+    snap = _write(tmp_path, "tall.snap", "n=64\n")
+    trace = _write(tmp_path, "tall.trace", "n=64\nI 3\n")
+    for argv in (["render", snap], ["render", trace, "--trace"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: height 64 is above 20: too many leaves to draw\n"
+    with pytest.raises(model.RequestError):
+        render(Situation(64))
 
 
 def test_cli_run_tall_tree(tmp_path, capsys):
