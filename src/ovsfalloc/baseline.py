@@ -13,6 +13,11 @@ at most one pebble per level.  A delete removes the rightmost pebble of
 the level, and each higher run whose aligned start moved one slot left
 shifts there by moving its last pebble to its front.
 
+So every hop rotates one run, and it is one segment step:
+``Situation.move_at`` is given the start the pass already holds and
+rewrites that run's segment in place, with no lookup of the pebble by
+position and no search for a free slot.
+
 Per-request cost is therefore bounded by the number of levels, and on
 cascade workloads it really grows linearly with the height, which is the
 contrast the main allocator is measured against.
@@ -39,20 +44,23 @@ def baseline_insert(s: Situation, level: int) -> MoveLog:
     i = bisect_right(runs, level, key=_LEVEL)  # runs[:i] hold the levels <= level
     start, lv, count = runs[i - 1] if i else (0, 0, 0)
     place = Place(level, -(-(start + (count << lv)) // size) * size)
-    hops = []  # (first pebble of a run the cascade passes, its new start)
+    hops = []  # (start of a run the cascade passes, where its first pebble goes)
     lv, target = place
     for start, run_level, count in runs[i:]:
         if start != target:
             break
         lv, target = run_level, start + (count << run_level)
-        hops.append((s.pebble_at(start), target))
+        hops.append((start, target))
     if target + (1 << lv) > s.leaves:
         raise InvariantError("sorted layout overflow; baseline state corrupt")
-    for pebble, new_start in reversed(hops):  # top down, each onto a free slot
-        s.move_pebble(pebble.id, new_start)
+    moved = []
+    for start, new_start in reversed(hops):  # top down, each onto a free slot
+        p = s.move_at(start, new_start)
+        moved.append((p.id, Place(p.level, start), Place(p.level, new_start)))
+    moved.reverse()  # logged bottom up
     new = s.place_pebble(level, place.start)
-    log = MoveLog(INSERT, level=level, placed=(new.id, new.place), branch="baseline-insert")
-    log.moved = [(p.id, p.place, Place(p.level, new_start)) for p, new_start in hops]
+    log = MoveLog(INSERT, level=level, placed=(new.id, place), branch="baseline-insert")
+    log.moved = moved
     return log
 
 
@@ -71,9 +79,8 @@ def baseline_delete(s: Situation, level: int) -> MoveLog:
         if want < start:
             if start - want != size:
                 raise InvariantError("sorted layout drifted by more than one slot")
-            mover = s.pebble_at(start + (count - 1) * size)
-            s.move_pebble(mover.id, want)
-            log.moved.append((mover.id, mover.place, Place(lv, want)))
+            mover = s.move_at(start + (count - 1) * size, want)
+            log.moved.append((mover.id, Place(lv, mover.start), Place(lv, want)))
             start = want
         end = start + count * size
     return log

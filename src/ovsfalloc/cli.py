@@ -18,7 +18,7 @@ from .allocator import AllocatorOptions
 from .coins import DEFAULT_BUDGET
 from .model import RequestError, SnapshotError, parse_snapshot
 from .oracle import exhaustive_verify
-from .render import render
+from .render import check_height, render
 from .replay import ReplayError, replay
 from .workloads import (
     Trace,
@@ -191,7 +191,8 @@ def _cmd_render(args) -> int:
     if args.trace:
         try:
             trace = parse_trace(text)
-        except TraceError as exc:
+            check_height(trace.n)  # before any request is replayed
+        except (TraceError, RequestError) as exc:
             return _usage_error(str(exc))
         step = len(trace.requests) if args.step is None else args.step
         if not 0 <= step <= len(trace.requests):

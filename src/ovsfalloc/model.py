@@ -2,9 +2,10 @@
 
 The bandwidth of a height-``n`` code tree is the leaf interval
 ``[0, 2**n)``.  A *place* of level ``l`` is an aligned interval
-``[i*2**l, (i+1)*2**l)``; a *pebble* is an allocated code occupying one
-place.  A :class:`Situation` is the full allocator state: the tree height
-plus a set of pairwise disjoint, aligned pebbles.
+``[i*2**l, (i+1)*2**l)`` (:class:`~ovsfalloc.layout.Place`); a *pebble* is
+an allocated code occupying one place.  A :class:`Situation` is the full
+allocator state: the tree height plus a set of pairwise disjoint, aligned
+pebbles.
 
 Colors are never stored.  A pebble is *black* when no strictly bigger
 pebble starts before it, otherwise *white*.  A situation is *valid* when
@@ -19,11 +20,19 @@ each a maximal run of contiguous equal-size pebbles.  In a valid
 situation every level holds one contiguous black run and at most one
 white pebble, so that list is O(n) long and no part of the state is
 sized by ``2**n``.  ``validate`` re-checks all of this (plus alignment
-and disjointness) in one walk over the segments, O(1) per segment, which
-also yields the free runs that the coin audit recounts and is kept until
-the next mutation.  The walk does not trust the segment list: each stored
-pebble copy is checked against it where the copy is read or written, and
+and disjointness) in one walk over the segments, O(1) per segment
+(:func:`~ovsfalloc.layout.scan_runs`), which also yields the free runs
+that the coin audit recounts and is kept until the next mutation.  The
+walk does not trust the segment list: each stored pebble copy is checked
+against it where the copy is read or written, and
 ``Situation.cross_check`` checks every copy at once.
+
+Only ``place_pebble``, ``remove_pebble``, ``move_at`` and
+``relabel_pebble`` change the state; ``move_pebble`` is ``move_at`` by id.
+``move_at`` finds the pebble at a start with one bisection.  When the
+move rotates a run, the run's first pebble to just past its end or its
+last to just before its start, it rewrites that one segment in place:
+each hop of the sorted baseline's cascade is such a step.
 
 A Situation is a self-contained value: instances share no mutable state,
 may be moved freely between threads, and a single instance must not be
@@ -35,7 +44,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+
+from .layout import PebbleScan, Place, Violation, scan_runs
 
 BLACK = "black"
 WHITE = "white"
@@ -59,24 +69,6 @@ class InvariantError(AllocationError):
 
 class SnapshotError(AllocationError):
     """Snapshot text could not be parsed."""
-
-
-class Place(NamedTuple):
-    """Aligned interval ``[start, start + 2**level)``."""
-
-    level: int
-    start: int
-
-    @property
-    def size(self) -> int:
-        return 1 << self.level
-
-    @property
-    def end(self) -> int:
-        return self.start + (1 << self.level)
-
-    def __str__(self) -> str:
-        return f"{self.size}@{self.start}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,173 +96,18 @@ class Pebble:
         return Place(self.level, self.start)
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
-    """One independently re-checkable breach of a structural constraint.
-
-    ``kind`` is one of ``P1 P2 P3 P4 alignment overlap``; ``pebbles`` holds
-    the witness ids and ``place`` the witness place where one applies.
-    """
-
-    kind: str
-    pebbles: tuple[int, ...] = ()
-    place: Place | None = None
-    detail: str = ""
-
-    def __str__(self) -> str:
-        bits = [self.kind]
-        if self.pebbles:
-            bits.append("pebbles=" + ",".join(map(str, self.pebbles)))
-        if self.place is not None:
-            bits.append(f"place={self.place}")
-        if self.detail:
-            bits.append(self.detail)
-        return " ".join(bits)
+_SET_ID, _SET_LEVEL, _SET_START = (Pebble.__dict__[f].__set__ for f in ("id", "level", "start"))
 
 
-class PebbleScan(NamedTuple):
-    """What one position-ordered walk over the pebbles (or the segments
-    that hold them) finds.
-
-    ``violations`` are all P1/P2/P3, alignment and overlap breaches, in
-    the order :meth:`Situation.validate` returns them.  ``runs`` are the
-    maximal free runs ``(start, end, x_level)`` in position order, where
-    ``x_level`` is the least level of the pebbles right of the run (None
-    for a run with no pebble to its right).
-    """
-
-    violations: tuple[Violation, ...]
-    runs: tuple[tuple[int, int, int | None], ...]
-
-
-def scan_pebbles(seq: Iterable[Pebble], leaves: int) -> PebbleScan:
-    """One pass over ``seq``, position ordered pebbles over ``leaves``
-    positions: every breach (see :class:`PebbleScan`) and the free runs.
-
-    Each pebble is a run of one for :func:`_scan_runs`, and carries its own
-    id, so a list may repeat a start.
-    """
-    seq = list(seq)
-    return _scan_runs([(p.start, p.level, 1) for p in seq], leaves, lambda i, k: seq[i].id)
-
-
-def _scan_runs(runs, leaves: int, witness) -> PebbleScan:
-    """One pass over ``runs``, each ``(start, level, count)``: ``count``
-    contiguous pebbles of ``level``, the first at ``start``.  The result is
-    :func:`scan_pebbles` of the pebbles the runs hold, in order.
-    ``witness(i, k)``, the id of pebble ``k`` of run ``i``, is called only
-    for a breach that names that pebble.
-
-    P2 and P3 are judged on a window of the previous two pebbles.  The
-    violations are stably sorted by place start; at one start, the pebbles'
-    own alignment/overlap/P1 breaches come first, then P2, then P3.  Free
-    runs follow a running maximum end, so overlapping pebbles still leave
-    only leaves that no pebble covers.
-
-    A run's pebbles share one level, so a run that starts at or after the
-    end of the covered prefix and ends inside the tree is judged in one
-    step: each of its pebbles has the color and the free bandwidth before
-    it of the first, no gap opens inside it, and P3 cannot fire there.
-    Any other run (overlap, or past the tree's end) is walked one pebble
-    per step.
-    """
-    out: list[Violation] = []
-    p2: list[Violation] = []
-    p3: list[Violation] = []
-    gaps: list[tuple[int, int]] = []
-    lows: list[int] = []  # lows[i]: least level of the pebbles between gaps i - 1 and i
-    low = 0  # least level since the last gap; lows[0], before any gap, is unused
-    top = -1  # largest level seen so far
-    covered = 0  # leaves covered so far, overlap-clamped
-    prev_end = 0
-    # window entries (run index, index in run, level, start): ``pp`` and
-    # ``prev`` precede the step's first pebble; the first pebble is always
-    # black, so ``pp`` exists whenever ``prev`` is white
-    pp = prev = None
-    prev_black = True
-    for i, (start, level, count) in enumerate(runs):
-        size = 1 << level
-        k = 0  # pebbles of the run judged so far
-        while k < count:
-            m = count - k  # pebbles judged in this step
-            end = start + (m << level)
-            if start < prev_end or end > leaves:
-                m = 1
-                end = start + size
-            if start & (size - 1):
-                out += [
-                    Violation("alignment", (witness(i, k + j),), Place(level, start + (j << level)))
-                    for j in range(m)
-                ]
-            if start == prev_end:
-                if level < low:
-                    low = level
-            elif start > prev_end:
-                lows.append(low)
-                gaps.append((prev_end, start))
-                low = level
-            else:
-                if prev is not None:
-                    witnesses = (witness(prev[0], prev[1]), witness(i, k))
-                    out.append(Violation("overlap", witnesses, Place(level, start)))
-                if level < low:
-                    low = level
-            black = top <= level
-            if covered < start and start - covered >= size:
-                detail = f"free bandwidth {start - covered} >= {size}"
-                out += [
-                    Violation("P1", (witness(i, k + j),), Place(level, start + (j << level)), detail)
-                    for j in range(m)
-                ]
-            hi = end if end < leaves else leaves
-            lo = start if start > prev_end else prev_end
-            if hi > lo:
-                covered += hi - lo
-            if end > prev_end:
-                prev_end = end
-            if level > top:
-                top = level
-            if not prev_black:
-                if not black:
-                    witnesses = (witness(prev[0], prev[1]), witness(i, k))
-                    p2.append(Violation("P2", witnesses, Place(level, start)))
-                elif pp[2] == level:
-                    # no level above ``level`` precedes this pebble, so ``pp`` is black
-                    witnesses = (witness(pp[0], pp[1]), witness(prev[0], prev[1]), witness(i, k))
-                    p3.append(Violation("P3", witnesses, Place(prev[2], prev[3])))
-            k += m
-            if m > 1:
-                if not black:  # a white pebble after each white pebble of the step
-                    p2 += [
-                        Violation(
-                            "P2",
-                            (witness(i, k - m + j - 1), witness(i, k - m + j)),
-                            Place(level, start + (j << level)),
-                        )
-                        for j in range(1, m)
-                    ]
-                pp = (i, k - 2, level, end - 2 * size)
-            else:
-                pp = prev
-            prev = (i, k - 1, level, end - size)
-            prev_black = black
-            start = end
-    out += p2
-    out += p3
-    out.sort(key=lambda v: v.place.start)
-    # each gap sees the least level of every block after it: a suffix minimum
-    free: list[tuple[int, int, int | None]] = []
-    if prev_end < leaves:
-        free.append((prev_end, leaves, None))
-    lows.append(low)
-    x_level = None
-    for i in range(len(gaps) - 1, -1, -1):
-        block = lows[i + 1]
-        if x_level is None or block < x_level:
-            x_level = block
-        free.append((*gaps[i], x_level))
-    free.reverse()
-    return PebbleScan(tuple(out), tuple(free))
+def _pebble(pid: int, level: int, start: int) -> Pebble:
+    """``Pebble(pid, level, start)`` with its slots set directly: the frozen
+    dataclass ``__init__`` calls ``object.__setattr__`` per field and takes
+    about a fifth of a cascade hop."""
+    pebble = object.__new__(Pebble)
+    _SET_ID(pebble, pid)
+    _SET_LEVEL(pebble, level)
+    _SET_START(pebble, start)
+    return pebble
 
 
 _START = itemgetter(0)
@@ -311,8 +148,9 @@ class Situation:
 
     ``_scan`` keeps the last :class:`PebbleScan`, walked over the segments,
     so that ``validate`` and the coin audit of one state share a single
-    walk.  ``_install``, ``_uninstall`` and ``relabel_pebble``, the only
-    writers of ``_peb``, ``_at`` and ``_segs``, drop it; ``copy`` shares it,
+    walk.  ``place_pebble``, ``remove_pebble``, ``move_at`` and
+    ``relabel_pebble``, the only writers of ``_peb``, ``_at`` and ``_segs``
+    (the list through ``_cut`` and ``_join``), drop it; ``copy`` shares it,
     since it is immutable.
     """
 
@@ -342,49 +180,43 @@ class Situation:
             return -1
         return i
 
-    def _install(self, pebble: Pebble) -> None:
-        level, start = pebble.level, pebble.start
-        end = start + (1 << level)
-        segs = self._segs
-        i = self._slot(start, end)
-        if i < 0:
-            raise InvariantError(f"place {pebble.place} is not free")
-        if start in self._at:
-            raise InvariantError(f"a pebble is stored at free start {start}")
-        lo, hi, first, count = i, i, start, 1  # segs[lo:hi] merge into one
-        if i and segs[i - 1][1] == level and _seg_end(segs[i - 1]) == start:
-            lo, first, count = i - 1, segs[i - 1][0], segs[i - 1][2] + 1
-        if i < len(segs) and segs[i][1] == level and segs[i][0] == end:
-            hi, count = i + 1, count + segs[i][2]
-        segs[lo:hi] = [(first, level, count)]
-        self._scan = None
-        self._peb[pebble.id] = pebble
-        self._at[start] = pebble
-        self._occupied += 1 << level
-
-    def _uninstall(self, pid: int) -> Pebble:
-        try:
-            pebble = self._peb.pop(pid)
-        except KeyError:
-            raise InvariantError(f"no pebble {pid} is stored by id") from None
-        level, start = pebble.level, pebble.start
-        if self._at.pop(start, None) is not pebble:
-            raise InvariantError(f"pebble {pid} is not the one stored at its start {start}")
+    def _by_id(self, pid: int) -> tuple[int, int, Pebble]:
+        """``(i, k, pebble)``: the pebble with id ``pid`` is pebble ``k`` of
+        segment ``i``, and the copy stored at its start is the same object."""
+        pebble = self._peb.get(pid)
+        if pebble is None:
+            raise RequestError(f"unknown pebble id {pid}")
+        start = pebble.start
         segs = self._segs
         i = bisect_right(segs, start, key=_START) - 1
-        first, seg_level, count = segs[i] if i >= 0 else (start, level, 0)  # none: an empty one
-        left = (start - first) >> level  # pebbles of the segment before this one
-        if seg_level != level or left >= count or first + (left << level) != start:
-            raise InvariantError(f"no segment holds pebble {pid} at {pebble.place}")
-        parts = []
-        if left:
-            parts.append((first, level, left))
-        if left + 1 < count:
-            parts.append((start + (1 << level), level, count - left - 1))
-        segs[i : i + 1] = parts
-        self._scan = None
-        self._occupied -= 1 << level
-        return pebble
+        first, level, count = segs[i] if i >= 0 else (start, 0, 0)  # none: an empty one
+        k = (start - first) >> level
+        if k >= count or first + (k << level) != start or self._read(start, level) is not pebble:
+            raise InvariantError(f"pebble {pid} is not the one the segments put at {start}")
+        return i, k, pebble
+
+    def _cut(self, i: int, k: int) -> int:
+        """Replace segment ``i`` by the runs left and right of its pebble
+        ``k``; returns how many there are."""
+        first, level, count = self._segs[i]
+        parts = [(first, level, k)] if k else []
+        if k + 1 < count:
+            parts.append((first + ((k + 1) << level), level, count - k - 1))
+        self._segs[i : i + 1] = parts
+        return len(parts)
+
+    def _join(self, lo: int, hi: int, first: int, level: int, count: int) -> None:
+        """Replace ``_segs[lo:hi]`` by the run of ``count`` pebbles of
+        ``level`` from ``first``, merged with an equal-level segment that
+        touches either end."""
+        segs = self._segs
+        if lo and segs[lo - 1][1] == level and _seg_end(segs[lo - 1]) == first:
+            lo -= 1
+            first, count = segs[lo][0], count + segs[lo][2]
+        if hi < len(segs) and segs[hi][1] == level and segs[hi][0] == first + (count << level):
+            count += segs[hi][2]
+            hi += 1
+        segs[lo:hi] = [(first, level, count)]
 
     def block_free(self, level: int, start: int) -> bool:
         """True iff the aligned place ``[start, start + 2**level)`` holds no
@@ -405,33 +237,83 @@ class Situation:
             raise RequestError(f"start {start} not aligned to size {1 << level}")
         if start < 0 or start + (1 << level) > self.leaves:
             raise RequestError(f"place {Place(level, start)} outside the tree")
-        if not self.block_free(level, start):
+        i = self._slot(start, start + (1 << level))
+        if i < 0:
             raise RequestError(f"place {Place(level, start)} is not free")
         if pid is None:
             pid = self._next_id
         if pid in self._peb:
             raise RequestError(f"pebble id {pid} already present")
+        if start in self._at:
+            raise InvariantError(f"a pebble is stored at free start {start}")
         self._next_id = max(self._next_id, pid + 1)
-        pebble = Pebble(pid, level, start)
-        self._install(pebble)
+        self._join(i, i, start, level, 1)
+        self._scan = None
+        self._peb[pid] = self._at[start] = pebble = _pebble(pid, level, start)
+        self._occupied += 1 << level
         return pebble
 
     def remove_pebble(self, pid: int) -> Pebble:
-        if pid not in self._peb:
-            raise RequestError(f"unknown pebble id {pid}")
-        return self._uninstall(pid)
+        i, k, pebble = self._by_id(pid)
+        self._cut(i, k)
+        self._scan = None
+        del self._peb[pid], self._at[pebble.start]
+        self._occupied -= 1 << pebble.level
+        return pebble
+
+    def move_at(self, start: int, new_start: int) -> Pebble:
+        """Move the pebble at ``start`` to the free aligned place of its
+        level at ``new_start`` and return it as it was, or raise
+        :class:`InvariantError` with nothing changed.
+
+        A move of a run's first pebble to just past its end, or of its last
+        to just before its start, rotates the run: its one segment is
+        rewritten in place, or merged with an equal-level neighbour that it
+        now touches.  Any other move cuts the pebble out of its segment and
+        joins it where ``_slot`` finds room."""
+        segs = self._segs
+        i = bisect_right(segs, start, key=_START) - 1
+        first, level, count = segs[i] if i >= 0 else (start, 0, 0)  # none: an empty one
+        k = (start - first) >> level
+        if k >= count or first + (k << level) != start:
+            raise InvariantError(f"no segment puts a pebble at {start}")
+        pebble = self._read(start, level)
+        if self._peb.get(pebble.id) is not pebble:
+            raise InvariantError(f"pebble {pebble.id} at {start} is not the one stored by id")
+        size = 1 << level
+        if new_start & (size - 1) or new_start < 0 or new_start + size > self.leaves:
+            raise InvariantError(f"misaligned move of {pebble.id} to {new_start}")
+        if new_start in self._at:
+            raise InvariantError(f"a pebble is stored at {new_start}, the move's free start")
+        end = first + (count << level)
+        if k == 0 and new_start == end or k == count - 1 and new_start == first - size:
+            lo = first + size if new_start == end else new_start  # where the run starts after
+            hi = lo + (count << level)
+            left = segs[i - 1] if i else (0, 0, 0)  # or an empty one at 0
+            right = segs[i + 1] if i + 1 < len(segs) else (self.leaves, -1, 0)  # or at the end
+            left_end = left[0] + (left[2] << left[1])
+            if left_end > lo or right[0] < hi:
+                raise InvariantError(f"place {Place(level, new_start)} is not free")
+            if left_end == lo and left[1] == level or right[0] == hi and right[1] == level:
+                self._join(i, i + 1, lo, level, count)
+            else:
+                segs[i] = (lo, level, count)
+        else:
+            j = self._slot(new_start, new_start + size)
+            if j < 0:
+                raise InvariantError(f"place {Place(level, new_start)} is not free")
+            parts = self._cut(i, k)
+            if j > i:  # past segment ``i``, which the cut made ``parts`` segments
+                j += parts - 1
+            self._join(j, j, new_start, level, 1)
+        self._scan = None
+        del self._at[start]
+        self._peb[pebble.id] = self._at[new_start] = _pebble(pebble.id, level, new_start)
+        return pebble
 
     def move_pebble(self, pid: int, new_start: int) -> None:
-        """Reassign an existing pebble to a new aligned free place."""
-        pebble = self._uninstall(pid)
-        size = 1 << pebble.level
-        try:
-            if new_start % size or new_start < 0 or new_start + size > self.leaves:
-                raise InvariantError(f"misaligned move of {pid} to {new_start}")
-            self._install(Pebble(pid, pebble.level, new_start))
-        except InvariantError:
-            self._install(pebble)
-            raise
+        """:meth:`move_at` for the pebble with id ``pid``."""
+        self.move_at(self.pebble(pid).start, new_start)
 
     def relabel_pebble(self, old_id: int, new_id: int) -> None:
         """Hand ``old_id``'s pebble the identity ``new_id`` (code handover)."""
@@ -440,7 +322,7 @@ class Situation:
             raise RequestError(f"pebble id {new_id} already present")
         del self._peb[old_id]
         self._scan = None
-        self._peb[new_id] = self._at[old.start] = Pebble(new_id, old.level, old.start)
+        self._peb[new_id] = self._at[old.start] = _pebble(new_id, old.level, old.start)
 
     def copy(self) -> "Situation":
         other = Situation.__new__(Situation)
@@ -464,13 +346,7 @@ class Situation:
         return pid in self._peb
 
     def pebble(self, pid: int) -> Pebble:
-        try:
-            pebble = self._peb[pid]
-        except KeyError:
-            raise RequestError(f"unknown pebble id {pid}") from None
-        if self.pebble_at(pebble.start) is not pebble:
-            raise InvariantError(f"pebble {pid} is not the one the segments put at {pebble.start}")
-        return pebble
+        return self._by_id(pid)[2]
 
     def _read(self, start: int, level: int) -> Pebble:
         """The pebble stored at ``start``, where the segment list puts one
@@ -562,13 +438,21 @@ class Situation:
     # spec operations
 
     def is_black(self, pid: int) -> bool:
-        pebble = self.pebble(pid)
-        for first, level, _ in self._segs:
-            if first >= pebble.start:
+        """Rule C, in one walk up to the segment that holds ``pid``, where
+        its stored copy is read checked."""
+        pebble = self._peb.get(pid)
+        if pebble is None:
+            raise RequestError(f"unknown pebble id {pid}")
+        start, black = pebble.start, True
+        for first, level, count in self._segs:
+            if first + (count << level) > start:  # the first segment reaching past ``start``
+                on_a_start = first <= start and not (start - first) % (1 << level)
+                if on_a_start and self._read(start, level) is pebble:
+                    return black
                 break
             if level > pebble.level:
-                return False
-        return True
+                black = False
+        raise InvariantError(f"pebble {pid} is not the one the segments put at {start}")
 
     def color_of(self, pid: int) -> str:
         """Rule C: black iff no strictly bigger pebble starts earlier."""
@@ -621,7 +505,7 @@ class Situation:
         mutations; a witness id is read from ``_at`` only for a breach."""
         scan = self._scan
         if scan is None:
-            scan = self._scan = _scan_runs(self._segs, self.leaves, self._witness)
+            scan = self._scan = scan_runs(self._segs, self.leaves, self._witness)
         return scan
 
     def _witness(self, i: int, k: int) -> int:

@@ -17,9 +17,14 @@ from .model import RequestError, Situation
 MAX_HEIGHT = 20
 
 
+def check_height(n: int) -> None:
+    """Refuse, with :class:`RequestError`, a tree too tall to draw."""
+    if n > MAX_HEIGHT:
+        raise RequestError(f"height {n} is above {MAX_HEIGHT}: too many leaves to draw")
+
+
 def render(s: Situation) -> str:
-    if s.n > MAX_HEIGHT:
-        raise RequestError(f"height {s.n} is above {MAX_HEIGHT}: too many leaves to draw")
+    check_height(s.n)
     parts: list[str] = []
     cursor = 0
     running_max = 0

@@ -121,6 +121,22 @@ def test_cascade_cost_grows_with_height():
     assert means[-1] > 3.0
 
 
+def test_cascade_hops_read_no_pebble_and_search_no_slot(monkeypatch):
+    # each hop is one segment step: the pass hands move_at the start it holds
+    calls = {"pebble_at": 0, "_slot": 0, "move_at": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(Situation, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(Situation, name, counted)
+    trace = gen_cascade_trace(10, 600)
+    res = replay(trace, allocator="baseline")
+    inserts = sum(request.kind == INSERT for request in trace.requests)
+    assert res.stats.total_moves > 2_000
+    assert calls == {"pebble_at": 0, "_slot": inserts, "move_at": res.stats.total_moves}
+
+
 def test_cascade_trace_single_request():
     trace = gen_cascade_trace(4, 1)
     assert len(trace) == 1

@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ovsfalloc.allocator import apply
 from ovsfalloc.coins import CoinLedger, iter_places, potential, required_coins
+from ovsfalloc.layout import scan_pebbles
 from ovsfalloc.model import (
     BLACK,
     WHITE,
@@ -17,7 +20,6 @@ from ovsfalloc.model import (
     SnapshotError,
     Violation,
     parse_snapshot,
-    scan_pebbles,
 )
 from ovsfalloc.oracle import (
     scan_closing_position,
@@ -639,3 +641,143 @@ def test_violation_witnesses_are_read_checked():
     s._scan = None
     with pytest.raises(InvariantError):
         s.validate()
+
+
+def _stored(s):
+    """Every stored part of ``s`` but the kept scan, as bytes."""
+    return pickle.dumps((s.n, s.leaves, s._peb, s._at, s._segs, s._occupied, s._next_id))
+
+
+def _reference_move(s, pid, new_start):
+    """The move of ``pid`` as a removal and a re-placing of the same id, on
+    a copy of ``s``; None where the new place is not a free aligned place
+    of the pebble's level inside the tree."""
+    ref = s.copy()
+    old = ref.remove_pebble(pid)
+    try:
+        ref.place_pebble(old.level, new_start, pid=pid)
+    except RequestError:
+        return None
+    return ref
+
+
+def _move(s, start, new_start, by_id):
+    if by_id:
+        return s.move_pebble(s._at[start].id, new_start)
+    return s.move_at(start, new_start)
+
+
+def _random_layout(rng):
+    s = Situation(rng.randint(3, 6))
+    for _ in range(rng.randint(1, 30)):
+        level = rng.randint(0, min(s.n, 2))
+        start = rng.randrange(0, s.leaves, 1 << level)
+        if s.block_free(level, start):
+            s.place_pebble(level, start)
+    return s
+
+
+def _move_targets(rng, s, first, level, count, k):
+    """(kind, new start) pairs for pebble ``k`` of the segment
+    ``(first, level, count)``: the run's rotations, where they apply, and
+    an arbitrary, a misaligned and a past-the-end start."""
+    size = 1 << level
+    end = first + (count << level)
+    out = []
+    if k == 0:
+        out.append(("rotate-right", end))
+    if k == count - 1:
+        out.append(("rotate-left", first - size))
+    out.append(("other", rng.randrange(0, s.leaves, size)))
+    if size > 1:
+        out.append(("misaligned", rng.randrange(0, s.leaves, size) + rng.randrange(1, size)))
+    out.append(("past-end", s.leaves + rng.randrange(0, 3) * size))
+    return out
+
+
+@pytest.mark.parametrize("by_id", [False, True])
+def test_move_matches_a_remove_and_replace(by_id):
+    rng = random.Random(20074 + by_id)
+    seen = collections.Counter()
+    for _ in range(1_500):
+        s = _random_layout(rng)
+        first, level, count = rng.choice(s.segments())
+        k = rng.randrange(count)
+        start = first + (k << level)
+        for kind, new_start in _move_targets(rng, s, first, level, count, k):
+            pebble = s.pebble_at(start)
+            ref = _reference_move(s, pebble.id, new_start) if new_start != start else None
+            c = s.copy()
+            before = _stored(c)
+            if ref is None:
+                with pytest.raises(InvariantError):
+                    _move(c, start, new_start, by_id)
+                assert _stored(c) == before
+                c.cross_check()
+                seen["refused " + (kind if kind != "other" else "not-free")] += 1
+                continue
+            old = _move(c, start, new_start, by_id)
+            assert old is (None if by_id else pebble)
+            c.cross_check()
+            assert c._segs == ref._segs and c._occupied == ref._occupied
+            assert c._at == ref._at and c._peb == ref._peb
+            assert c.pebble(pebble.id) == Pebble(pebble.id, level, new_start)
+            _assert_scan_fresh(c)
+            seen[kind] += 1
+            if kind.startswith("rotate") and len(c._segs) < len(s._segs):
+                seen["merge " + kind] += 1
+    assert all(
+        seen[kind] > 20
+        for kind in (
+            "rotate-right",
+            "rotate-left",
+            "merge rotate-right",
+            "merge rotate-left",
+            "other",
+            "refused rotate-right",
+            "refused rotate-left",
+            "refused not-free",
+            "refused misaligned",
+            "refused past-end",
+        )
+    ), seen
+
+
+@pytest.mark.parametrize("by_id", [False, True])
+def test_move_refuses_a_stray_copy_and_changes_nothing(by_id):
+    s = _valid_state()  # segments 2x4@0, 2@8, 4x8@16 at height 6
+    pebble = s.pebble_at(16)
+    assert _reference_move(s, pebble.id, 48) is not None  # a rotation to the run's end
+
+    def plant_at_target(c):
+        c._at[48] = Pebble(99, 3, 48)
+        return lambda: c._at.pop(48)
+
+    def plant_id_copy(c):
+        c._peb[pebble.id] = Pebble(pebble.id, 3, 16)  # equal, but not the stored object
+        return lambda: c._peb.__setitem__(pebble.id, pebble)
+
+    def plant_start_copy(c):
+        c._at[16] = Pebble(pebble.id, 2, 16)
+        return lambda: c._at.__setitem__(16, pebble)
+
+    for plant in (plant_at_target, plant_id_copy, plant_start_copy):
+        c = s.copy()
+        before = _stored(c)
+        restore = plant(c)
+        with pytest.raises(InvariantError):
+            _move(c, 16, 48, by_id)
+        restore()
+        assert _stored(c) == before, plant.__name__
+        c.cross_check()
+    for new_start in (16, 20, 24, 64):  # its own place, misaligned, taken, past the end
+        c = s.copy()
+        with pytest.raises(InvariantError):
+            _move(c, 16, new_start, by_id)
+        assert _stored(c) == _stored(s)
+    c = s.copy()
+    with pytest.raises(InvariantError):
+        c.move_at(12, 48)  # no pebble starts there
+    with pytest.raises(RequestError):
+        c.move_pebble(999, 48)  # no pebble has that id
+    assert _stored(c) == _stored(s)

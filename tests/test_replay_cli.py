@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ovsfalloc import coins, model
+from ovsfalloc import cli, coins, layout, model
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
 from ovsfalloc.model import InvariantError, Pebble, Situation
@@ -236,7 +236,7 @@ def test_checked_replay_walks_the_pebbles_once(monkeypatch):
 
     monkeypatch.setattr(Situation, "pebbles", counted("pebbles", Situation.pebbles))
     monkeypatch.setattr(Situation, "_witness", counted("witness", Situation._witness))
-    monkeypatch.setattr(model, "scan_pebbles", counted("scan_pebbles", model.scan_pebbles))
+    monkeypatch.setattr(layout, "scan_pebbles", counted("scan_pebbles", layout.scan_pebbles))
     res = replay(_checked12_trace(), validate_each=True)
     assert res.stats.m == 2000
     assert calls == {"pebbles": 1, "scan_pebbles": 0, "witness": 0}
@@ -375,6 +375,18 @@ def test_cli_render_refuses_a_tall_tree(tmp_path, capsys):
         assert capsys.readouterr().err == "error: height 64 is above 20: too many leaves to draw\n"
     with pytest.raises(model.RequestError):
         render(Situation(64))
+
+
+def test_cli_render_refuses_a_tall_trace_before_replaying_it(tmp_path, capsys, monkeypatch):
+    trace = serialize_trace(gen_random_trace(30, 400, seed=5, insert_ratio=0.7))
+    path = _write(tmp_path, "tall.trace", trace)
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("the trace was replayed")
+
+    monkeypatch.setattr(cli, "replay", no_replay)
+    assert main(["render", path, "--trace", "--step", "3"]) == 2
+    assert capsys.readouterr().err == "error: height 30 is above 20: too many leaves to draw\n"
 
 
 def test_cli_run_tall_tree(tmp_path, capsys):
