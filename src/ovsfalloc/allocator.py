@@ -96,19 +96,6 @@ class MoveLog:
             return f"D{self.level}"
         return f"DID{self.removed}"
 
-    def serialize(self, index: int) -> str:
-        placed = f"{self.placed[0]}:{self.placed[1]}" if self.placed else "-"
-        moved = (
-            ",".join(f"{pid}:{old}->{new}" for pid, old, new in self.moved)
-            if self.moved
-            else "-"
-        )
-        removed = str(self.removed) if self.removed is not None else "-"
-        return (
-            f"req={index} op={self.op_token()} placed={placed} "
-            f"moved={moved} removed={removed} iters={self.iterations}"
-        )
-
 
 def insert(s: Situation, level: int, options: AllocatorOptions | None = None) -> MoveLog:
     """Insert a pebble of ``level`` into a valid situation.
@@ -230,7 +217,7 @@ def delete_last(
             log.branch = EXIT_END
             break
         x = 1 << x_level
-        if gap % x or not s.block_free(x_level, gap):
+        if not s.block_free(x_level, gap):
             log.branch = EXIT_NO_FIT
             break
         mover = s.rightmost_of_level(x_level)

@@ -163,20 +163,7 @@ def _cmd_verify(args) -> int:
         return _usage_error(f"--budget must be >= 0, got {args.budget}")
     report = exhaustive_verify(args.height, args.depth, options=options, budget=args.budget)
     if args.format == "jsonl":
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "states": report.states,
-                    "transitions": report.transitions,
-                    "max_insert_moves": report.max_insert_moves,
-                    "max_injected": report.max_injected,
-                    "coverage": report.coverage,
-                    "failures": [str(f) for f in report.failures],
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(report.to_dict(), sort_keys=True))
     else:
         print(report.summary())
     return 0 if report.ok else 1

@@ -193,11 +193,3 @@ class CoinLedger:
             return []
         detail = f"potential {scanned} by scan != balance {self._balance}"
         return [Violation("P4", detail=detail)]
-
-    def report_line(self, info: SettleInfo) -> str:
-        """The ``--log`` line of the request that ``settle`` returned ``info``
-        for; a failed audit ends the replay, so P4 always reads ok."""
-        return (
-            f"iters={info.consumed} injected={info.injected} "
-            f"consumed={info.consumed} balance={self.balance()} p4=ok"
-        )

@@ -220,7 +220,9 @@ class Situation:
 
     def block_free(self, level: int, start: int) -> bool:
         """True iff the aligned place ``[start, start + 2**level)`` holds no
-        pebble and no part of one."""
+        pebble and no part of one; a level above the tree fits nowhere."""
+        if level < 0:
+            raise RequestError(f"level {level} is negative")
         size = 1 << level
         if start % size or start < 0 or start + size > self.leaves:
             return False
@@ -322,6 +324,7 @@ class Situation:
             raise RequestError(f"pebble id {new_id} already present")
         del self._peb[old_id]
         self._scan = None
+        self._next_id = max(self._next_id, new_id + 1)
         self._peb[new_id] = self._at[old.start] = _pebble(new_id, old.level, old.start)
 
     def copy(self) -> "Situation":

@@ -30,23 +30,14 @@ import time
 from dataclasses import dataclass, field
 
 from .allocator import (
-    AllocatorOptions,
-    DELETE_LEVEL,
-    INSERT,
-    Request,
-    apply,
+    DELETE_LEVEL, EXIT_END, EXIT_NO_FIT, INSERT, PLACE_DIRECT, PLACE_OVER_SMALL, ROTATE_PAIR,
+    SHUFFLE_BLACK, SHUFFLE_WHITE, AllocatorOptions, Request, apply,
 )
 from .coins import DEFAULT_BUDGET, CoinLedger
 from .model import AllocationError, InvariantError, Pebble, Place, RequestError, Situation
 
-INSERT_BRANCHES = (
-    "place-direct",
-    "place-over-small",
-    "rotate-pair",
-    "shuffle-white",
-    "shuffle-black",
-)
-DELETE_BRANCHES = ("delete-end-of-tree", "delete-no-fit")
+INSERT_BRANCHES = (PLACE_DIRECT, PLACE_OVER_SMALL, ROTATE_PAIR, SHUFFLE_WHITE, SHUFFLE_BLACK)
+DELETE_BRANCHES = (EXIT_END, EXIT_NO_FIT)
 COVERAGE_TARGETS = INSERT_BRANCHES + DELETE_BRANCHES + (
     "insert-renamed",
     "delete-swap",
@@ -325,6 +316,19 @@ class VerifyReport:
 
     def missing_coverage(self) -> list[str]:
         return [k for k in COVERAGE_TARGETS if not self.coverage.get(k)]
+
+    def to_dict(self) -> dict:
+        """The walk's outcome by name, every failure included (time and
+        notes excluded)."""
+        return {
+            "ok": self.ok,
+            "states": self.states,
+            "transitions": self.transitions,
+            "max_insert_moves": self.max_insert_moves,
+            "max_injected": self.max_injected,
+            "coverage": self.coverage,
+            "failures": [str(f) for f in self.failures],
+        }
 
     def summary(self) -> str:
         lines = [

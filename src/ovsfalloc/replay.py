@@ -10,7 +10,8 @@ failure, a typed error raised by a checked read included, ends the replay
 with a ``ReplayError`` naming the request; a failed audit carries its P4
 detail.  Statistics and log lines (none unless a ``log_format`` is
 given) read each request's charge from the ``SettleInfo`` that settling
-it returned.
+it returned.  This module alone formats the request log: it computes
+each request's fields once and renders them as text or as jsonl.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import baseline as bl
 from .allocator import DELETE_LEVEL, INSERT, MoveLog, apply, check_request
-from .coins import DEFAULT_BUDGET, CoinLedger
+from .coins import DEFAULT_BUDGET, CoinLedger, SettleInfo
 from .model import AllocationError, Situation
 from .workloads import Trace
 
@@ -122,6 +123,7 @@ def replay(
     ledger = CoinLedger(s, budget) if use_coins else None
     stats = RunStats()
     lines: list[str] = []
+    info = None  # the request's charge, with a ledger
 
     last = len(trace.requests)
     for index, request in enumerate(trace.requests, start=1):
@@ -154,27 +156,7 @@ def replay(
             stats.max_injected = max(stats.max_injected, info.injected)
             stats.budget_findings += len(info.findings)
         if log_format is not None:
-            if log_format == "jsonl":
-                entry = {
-                    "req": index,
-                    "op": log.op_token(),
-                    "placed": f"{log.placed[0]}:{log.placed[1]}" if log.placed else None,
-                    "moved": [f"{pid}:{old}->{new}" for pid, old, new in log.moved],
-                    "removed": log.removed,
-                    "iters": log.iterations,
-                }
-                if ledger is not None:
-                    entry["coins"] = {
-                        "injected": info.injected,
-                        "consumed": info.consumed,
-                        "balance": ledger.balance(),
-                        "p4": "ok",
-                    }
-                lines.append(json.dumps(entry, sort_keys=True))
-            else:
-                lines.append(log.serialize(index))
-                if ledger is not None:
-                    lines.append(ledger.report_line(info))
+            lines += _log_lines(log_format, index, log, info, ledger)
 
     try:
         s.cross_check()
@@ -188,6 +170,39 @@ def replay(
         raise _request_error(last, exc) from exc
     stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     return ReplayResult(stats, s, ledger, lines)
+
+
+def _log_lines(
+    log_format: str, index: int, log: MoveLog, info: SettleInfo | None, ledger: CoinLedger | None
+) -> list[str]:
+    """The log of request ``index``, from one set of fields: one jsonl line,
+    or a ``req=`` line and, with a ledger, its coin line.  A failed audit
+    ends the replay, so P4 always reads ok."""
+    entry = {
+        "req": index,
+        "op": log.op_token(),
+        "placed": f"{log.placed[0]}:{log.placed[1]}" if log.placed else None,
+        "moved": [f"{pid}:{old}->{new}" for pid, old, new in log.moved],
+        "removed": log.removed,
+        "iters": log.iterations,
+    }
+    coins = None
+    if ledger is not None:
+        coins = {"injected": info.injected, "consumed": info.consumed,
+                 "balance": ledger.balance(), "p4": "ok"}
+    if log_format == "jsonl":
+        if coins is not None:
+            entry["coins"] = coins
+        return [json.dumps(entry, sort_keys=True)]
+    rows = [entry] if coins is None else [entry, {"iters": log.iterations, **coins}]
+    return [" ".join(f"{key}={_text(value)}" for key, value in row.items()) for row in rows]
+
+
+def _text(value) -> str:
+    """A log field in the text format: a list comma-joined, ``-`` for none."""
+    if isinstance(value, list):
+        value = ",".join(value) or None
+    return "-" if value is None else str(value)
 
 
 def _request_error(index: int, exc: AllocationError) -> ReplayError:

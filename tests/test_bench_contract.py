@@ -1,8 +1,13 @@
-"""The benchmark patches ovsfalloc by name: every name it patches must exist."""
+"""The benchmark patches and reads ovsfalloc by name: every such name must exist."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from ovsfalloc.allocator import MoveLog
+from ovsfalloc.coins import SettleInfo
+from ovsfalloc.oracle import VerifyReport
+from ovsfalloc.replay import RunStats
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -31,3 +36,27 @@ def test_every_name_the_bench_patches_exists():
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
     assert {"Situation", "CoinLedger"} <= {attr.split(".")[0] for _, attr in targets if "." in attr}
+
+
+def test_every_name_the_bench_reads_exists():
+    # what the tracer reads of each MoveLog and SettleInfo it sees
+    log = MoveLog("insert")
+    for name in ("kind", "moved", "branch", "iterations", "swaps", "renamed", "relabel"):
+        assert hasattr(log, name), name
+    info = SettleInfo()
+    assert hasattr(info, "injected") and hasattr(info, "findings")
+    # the replay statistics that the workloads read by key
+    read = {
+        "m", "total_moves", "max_moves", "max_insert_moves", "total_delete_iterations",
+        "relabels", "total_coins_injected", "max_coins_injected", "budget_findings",
+        "p4_failures",
+    }
+    assert read <= RunStats().to_dict().keys()
+    # what the verify workload reads of the verifier's report
+    report = VerifyReport(5, 6)
+    for name in (
+        "ok", "depth", "states", "transitions", "max_insert_moves", "max_injected",
+        "coverage", "failures",
+    ):
+        assert hasattr(report, name), name
+    assert isinstance(report.missing_coverage(), list)

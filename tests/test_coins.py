@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from ovsfalloc.coins import (
 )
 from ovsfalloc.model import Place, Situation
 from ovsfalloc.replay import replay
-from ovsfalloc.workloads import gen_random_trace
+from ovsfalloc.workloads import gen_random_trace, parse_trace
 
 
 def build(n, pebs):
@@ -170,13 +172,14 @@ def test_budget_findings_reported_not_fatal():
     assert info2.findings == ["injected 1 coins exceeds budget 0"]
 
 
-def test_report_line_format():
-    s = build(3, [(1, 0), (2, 2), (2, 4)])
-    ledger = CoinLedger(s)
-    log = delete_last(s, 0)
-    info = ledger.settle(s, log)
-    line = ledger.report_line(info)
-    assert line == "iters=1 injected=0 consumed=1 balance=0 p4=ok"
+def test_replay_coin_line_format():
+    # the pebbles of ``build(3, [(1, 0), (2, 2), (2, 4)])``, then a delete
+    # whose one compaction iteration spends the coin on free leaf 1: Φ 1 -> 0
+    trace = parse_trace("n=3\nI 0\nI 1\nI 1\nD 0\n")
+    text = replay(trace, log_format="text").request_lines
+    assert text[-1] == "iters=1 injected=0 consumed=1 balance=0 p4=ok"
+    entry = json.loads(replay(trace, log_format="jsonl").request_lines[-1])
+    assert entry["coins"] == {"injected": 0, "consumed": 1, "balance": 0, "p4": "ok"}
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovsfalloc.allocator import apply
+from ovsfalloc.allocator import apply, insert
 from ovsfalloc.coins import CoinLedger, iter_places, potential, required_coins
 from ovsfalloc.layout import scan_pebbles
 from ovsfalloc.model import (
@@ -292,6 +292,22 @@ def test_place_pebble_rejections():
     s.place_pebble(1, 0)
     with pytest.raises(RequestError):
         s.place_pebble(0, 1)  # occupied
+
+
+def test_block_free_rejects_a_negative_level():
+    s = Situation(3)
+    with pytest.raises(RequestError, match="level -1 is negative"):
+        s.block_free(-1, 0)
+    assert not s.block_free(4, 0)  # a level above the tree fits nowhere
+
+
+def test_new_ids_follow_a_relabel():
+    s = Situation(3)
+    p = s.place_pebble(0, 0)
+    s.relabel_pebble(p.id, 2)
+    log = insert(s, 0)  # admissible: it must not reuse id 2
+    assert log.placed[0] == 3
+    assert sorted(q.id for q in s.pebbles()) == [2, 3]
 
 
 def test_snapshot_roundtrip():

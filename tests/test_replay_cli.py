@@ -123,6 +123,24 @@ def test_replay_allocator_output_pinned(name, allocator):
     assert _digest(lines) == PINNED_ALLOCATOR[name, allocator]
 
 
+# sha256 of the same replays' jsonl request lines: one entry per request,
+# with its coins for the paper allocator
+PINNED_JSONL = {
+    ("by-id12", "paper"): "7ad2a001be7900046c94f17689683ab1b693e8ca6b852b8cb19db8f50e513764",
+    ("by-id12", "baseline"): "e908327ea1c4a695f53f1efcfe9daf33e8ef50747bca3b092cc271b47cd65749",
+    ("cascade12", "paper"): "59ce33ed941bc81e383b0f6650aeaf8c17a0438652c4f77c3c0f879efddb4bcb",
+    ("cascade12", "baseline"): "80530cd525a8d7dbbb7e903ef89861d6197a60a752ed9f2b342e1b968ff4a489",
+    ("random8", "paper"): "4fbcfd71ef30937072d57023fbef4d3dac791ddd93eac46ffc8750f3fec35953",
+    ("random8", "baseline"): "2d405a65b42e66e81b6c926cc9b68c6548a5c11ce6e562a8d3c8a8c0824b4d74",
+}
+
+
+@pytest.mark.parametrize("name,allocator", sorted(PINNED_JSONL))
+def test_replay_jsonl_output_pinned(name, allocator):
+    res = replay(PINNED_TRACES[name](), allocator=allocator, log_format="jsonl")
+    assert _digest(res.request_lines) == PINNED_JSONL[name, allocator]
+
+
 @pytest.mark.parametrize("method", ["settle", "audit"])
 def test_ledger_errors_cite_request_index(tmp_path, capsys, monkeypatch, method):
     def broken(self, *args):
