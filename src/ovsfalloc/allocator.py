@@ -112,15 +112,15 @@ def insert(s: Situation, level: int, options: AllocatorOptions | None = None) ->
         raise BandwidthError(
             f"size {a} exceeds free bandwidth {s.total_free_bandwidth()}"
         )
-    place = s.first_free_place(level)
-    if place is None:
+    site = s.insert_site(level)
+    if site is None:
         raise InvariantError(
             "no free place despite sufficient bandwidth; input situation invalid"
         )
+    start, left, black = site
     log = MoveLog(INSERT, level=level)
-    left = s.pebble_before(place.start)
-    if left is None or s.is_black(left.id):
-        new = s.place_pebble(level, place.start)
+    if black:
+        new = s.place_pebble(level, start)
         log.placed = (new.id, new.place)
         log.branch = PLACE_DIRECT
         return log
@@ -131,7 +131,7 @@ def insert(s: Situation, level: int, options: AllocatorOptions | None = None) ->
         raise InvariantError("white pebble without left neighbor; input invalid")
 
     if c.size < a:
-        new = s.place_pebble(level, place.start)
+        new = s.place_pebble(level, start)
         log.placed = (new.id, new.place)
         log.branch = PLACE_OVER_SMALL
         return log
@@ -202,17 +202,19 @@ def delete_last(
     options = options or _DEFAULTS
     if not 0 <= level <= s.n:
         raise RequestError(f"level {level} out of [0, {s.n}]")
-    victim = s.rightmost_of_level(level)
-    if victim is None:
+    removed = s.remove_last(level)
+    if removed is None:
         raise RequestError(f"no pebble of level {level}")
+    victim, x_level = removed
     log = MoveLog(DELETE_LEVEL, level=level)
     log.removed = victim.id
-    s.remove_pebble(victim.id)
     gap = victim.start
 
+    # ``x_level`` is the least level right of the gap.  The filler is the
+    # last pebble of that level, so the walk that finds it also yields the
+    # least level right of its source, the next gap: nothing there moves.
     first_seen: dict[int, Place] = {}  # insertion order is the order of first moves
     while True:
-        x_level = s.smallest_level_right(gap)
         if x_level is None:
             log.branch = EXIT_END
             break
@@ -220,11 +222,12 @@ def delete_last(
         if not s.block_free(x_level, gap):
             log.branch = EXIT_NO_FIT
             break
-        mover = s.rightmost_of_level(x_level)
-        if mover is None or mover.start <= gap:
+        found = s.last_of_level(x_level)
+        if found is None or found[0].start <= gap:
             raise InvariantError(f"no level-{x_level} pebble right of gap {gap}")
+        mover, next_level = found
         source = mover.start
-        s.move_pebble(mover.id, gap)
+        s.move_at(source, gap)
         first_seen.setdefault(mover.id, mover.place)
         log.iterations += 1
         q = s.pebble_before(gap)
@@ -240,11 +243,11 @@ def delete_last(
                     raise InvariantError("swap geometry broken; input invalid")
                 q_start = q.start
                 s.remove_pebble(q.id)
-                s.move_pebble(mover.id, q_start)
+                s.move_at(gap, q_start)
                 s.place_pebble(q.level, gap, pid=q.id)
                 first_seen.setdefault(q.id, q.place)
                 log.swaps += 1
-        gap = source
+        gap, x_level = source, next_level
 
     for pid, old in first_seen.items():  # every moved pebble is still live
         new = s.pebble(pid).place

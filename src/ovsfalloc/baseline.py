@@ -67,10 +67,10 @@ def baseline_insert(s: Situation, level: int) -> MoveLog:
 def baseline_delete(s: Situation, level: int) -> MoveLog:
     if not 0 <= level <= s.n:
         raise RequestError(f"level {level} out of [0, {s.n}]")
-    victim = s.rightmost_of_level(level)
-    if victim is None:
+    removed = s.remove_last(level)
+    if removed is None:
         raise RequestError(f"no pebble of level {level}")
-    s.remove_pebble(victim.id)
+    victim = removed[0]
     log = MoveLog(DELETE_LEVEL, level=level, removed=victim.id, branch="baseline-delete")
     end = 0  # end of the runs passed so far, after their shifts
     for start, lv, count in s.segments():

@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--audit-every",
         type=int,
-        default=1,
+        default=None,
         metavar="K",
         help="full P4 audit every K requests (default every request)",
     )
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--budget",
         type=int,
-        default=DEFAULT_BUDGET,
+        default=None,
         metavar="K",
         help=f"per-request fresh coin budget (reporting threshold, default {DEFAULT_BUDGET})",
     )
@@ -119,10 +119,21 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.audit_every < 1:
-        return _usage_error(f"--audit-every must be >= 1, got {args.audit_every}")
-    if args.budget < 0:
-        return _usage_error(f"--budget must be >= 0, got {args.budget}")
+    if args.allocator == "baseline":  # the coin flags set the paper allocator's certificate
+        coin_flags = {
+            "--no-audit": args.no_audit,
+            "--audit-every": args.audit_every is not None,
+            "--budget": args.budget is not None,
+        }
+        for flag, given in coin_flags.items():
+            if given:
+                return _usage_error(f"{flag} needs the paper allocator: the baseline has no coin certificate")
+    audit_every = 1 if args.audit_every is None else args.audit_every
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    if audit_every < 1:
+        return _usage_error(f"--audit-every must be >= 1, got {audit_every}")
+    if budget < 0:
+        return _usage_error(f"--budget must be >= 0, got {budget}")
     try:
         with open(args.trace, encoding="utf-8") as fh:
             trace = parse_trace(fh.read())
@@ -134,9 +145,9 @@ def _cmd_run(args) -> int:
             allocator=args.allocator,
             validate_each=not args.no_validate,
             audit=not args.no_audit,
-            audit_every=args.audit_every,
+            audit_every=audit_every,
             count_relabel=args.count_relabel,
-            budget=args.budget,
+            budget=budget,
             log_format=args.format if args.log else None,
         )
     except ReplayError as exc:

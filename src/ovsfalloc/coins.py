@@ -21,10 +21,11 @@ charge of at most ``K`` on every request bounds the total iterations of
 Φ is computed twice, by different means.  ``potential``, behind every
 charge, reads the segment list in one right-to-left pass and counts each
 free run in closed form, O(segments).  ``CoinLedger.audit`` recounts Φ by
-the definition above, ``iter_places`` and ``required_coins`` on every free
-run of the situation's scan (the walk over the segments that ``validate``
-makes, shared when both run on one state), so every audit also
-cross-checks the closed form.
+the definition above, place by place: ``run_potential`` takes each greedy
+canonical place of a free run in one integer step and adds its
+``floor(2p / x)``, on every free run of the situation's scan (the walk
+over the segments that ``validate`` makes, shared when both run on one
+state), so every audit also cross-checks the closed form.
 
 A charge above the per-request budget is returned as a finding in the
 request's :class:`SettleInfo`, not silently absorbed.  The certificate is
@@ -49,23 +50,24 @@ def required_coins(p: int, x: int) -> int:
     return (2 * p) // x
 
 
-def iter_places(start: int, end: int, cap_level: int):
-    """Greedy canonical decomposition of the free run ``[start, end)``."""
-    q = start
-    while q < end:
-        align = (q & -q) if q else (1 << cap_level)
-        size = 1 << cap_level
-        while size > align or q + size > end:
-            size >>= 1
-        yield Place(size.bit_length() - 1, q)
-        q += size
-
-
 def run_potential(start: int, end: int, x_level: int, cap_level: int) -> int:
     """Φ of the free run ``[start, end)`` whose smallest right pebble has
-    level ``x_level``: every place of the run sees the same pebble."""
-    x = 1 << x_level
-    return sum(required_coins(p.size, x) for p in iter_places(start, end, cap_level))
+    level ``x_level``: every place of the run sees the same pebble.
+
+    The count is literal, one greedy canonical place per step: the place
+    at ``q`` is as big as ``q``'s alignment (the whole tree, ``2**cap_level``,
+    at 0) and the room left in the run both allow, and it needs
+    ``floor(2p / x)`` coins, ``2p >> x_level``."""
+    total = 0
+    q = start
+    while q < end:
+        size = (q & -q) or (1 << cap_level)
+        room = end - q
+        if size > room:
+            size = 1 << (room.bit_length() - 1)
+        total += (2 * size) >> x_level
+        q += size
+    return total
 
 
 def closed_run_potential(start: int, end: int, x_level: int) -> int:
@@ -181,10 +183,10 @@ class CoinLedger:
             )
 
     def audit(self, s: Situation) -> list[Violation]:
-        """Recount Φ by its definition (``iter_places`` and
-        ``required_coins`` on every free run of ``s.pebble_scan()``, the
-        walk over the segments that ``validate`` shares) and compare it
-        with the balance that ``settle`` set from the closed form."""
+        """Recount Φ by its definition (``run_potential``, one canonical
+        place per step, on every free run of ``s.pebble_scan()``, the walk
+        over the segments that ``validate`` shares) and compare it with the
+        balance that ``settle`` set from the closed form."""
         scanned = 0
         for start, end, x_level in s.pebble_scan().runs:
             if x_level is not None:

@@ -27,8 +27,16 @@ walk does not trust the segment list: each stored pebble copy is checked
 against it where the copy is read or written, and
 ``Situation.cross_check`` checks every copy at once.
 
+The allocator's reads take one walk each.  ``insert_site`` returns the
+first free place of a level with the pebble left of it and that pebble's
+color, which rule C gives from the largest level of the segments before
+it; ``last_of_level`` returns a level's last pebble with the least level
+right of it, walking right to left.
+
 Only ``place_pebble``, ``remove_pebble``, ``move_at`` and
-``relabel_pebble`` change the state; ``move_pebble`` is ``move_at`` by id.
+``relabel_pebble`` change the state; ``move_pebble`` is ``move_at`` by id,
+and ``remove_last`` is ``remove_pebble``'s own code run on the pebble
+that ``last_of_level`` finds.
 ``move_at`` finds the pebble at a start with one bisection.  When the
 move rotates a run, the run's first pebble to just past its end or its
 last to just before its start, it rewrites that one segment in place:
@@ -148,10 +156,10 @@ class Situation:
 
     ``_scan`` keeps the last :class:`PebbleScan`, walked over the segments,
     so that ``validate`` and the coin audit of one state share a single
-    walk.  ``place_pebble``, ``remove_pebble``, ``move_at`` and
-    ``relabel_pebble``, the only writers of ``_peb``, ``_at`` and ``_segs``
-    (the list through ``_cut`` and ``_join``), drop it; ``copy`` shares it,
-    since it is immutable.
+    walk.  ``place_pebble``, ``remove_pebble`` (whose code ``remove_last``
+    runs), ``move_at`` and ``relabel_pebble``, the only writers of ``_peb``,
+    ``_at`` and ``_segs`` (the list through ``_cut`` and ``_join``), drop
+    it; ``copy`` shares it, since it is immutable.
     """
 
     def __init__(self, n: int):
@@ -256,10 +264,26 @@ class Situation:
         return pebble
 
     def remove_pebble(self, pid: int) -> Pebble:
-        i, k, pebble = self._by_id(pid)
+        return self._remove(*self._by_id(pid))
+
+    def remove_last(self, level: int) -> tuple[Pebble, int | None] | None:
+        """Remove the last pebble of ``level``, found and read as
+        :meth:`last_of_level` finds it, and return what that returns; None,
+        with nothing changed, when no pebble has ``level``."""
+        found = self._last(level)
+        if found is None:
+            return None
+        i, pebble, low = found
+        if self._peb.get(pebble.id) is not pebble:
+            raise InvariantError(f"pebble {pebble.id} at {pebble.start} is not the one stored by id")
+        self._remove(i, self._segs[i][2] - 1, pebble)
+        return pebble, low
+
+    def _remove(self, i: int, k: int, pebble: Pebble) -> Pebble:
+        """Remove ``pebble``, checked to be pebble ``k`` of segment ``i``."""
         self._cut(i, k)
         self._scan = None
-        del self._peb[pid], self._at[pebble.start]
+        del self._peb[pebble.id], self._at[pebble.start]
         self._occupied -= 1 << pebble.level
         return pebble
 
@@ -429,6 +453,26 @@ class Situation:
                 return self._read(first + ((count - 1) << lv), lv)
         return None
 
+    def last_of_level(self, level: int) -> tuple[Pebble, int | None] | None:
+        """The last pebble of ``level``, read checked, and the least level
+        of the pebbles right of it (None if there are none), in one
+        right-to-left walk; None when no pebble has ``level``."""
+        found = self._last(level)
+        return None if found is None else found[1:]
+
+    def _last(self, level: int) -> tuple[int, Pebble, int | None] | None:
+        """``(i, pebble, low)``: the last pebble of ``level`` ends segment
+        ``i``, and ``low`` is the least level of the segments after it."""
+        segs = self._segs
+        low = None
+        for i in range(len(segs) - 1, -1, -1):
+            first, lv, count = segs[i]
+            if lv == level:
+                return i, self._read(first + ((count - 1) << lv), lv), low
+            if low is None or lv < low:
+                low = lv
+        return None
+
     def smallest_level_right(self, pos: int) -> int | None:
         """Level of the smallest pebble starting strictly right of ``pos``."""
         best = None
@@ -466,10 +510,11 @@ class Situation:
         if not 0 <= pos <= self.leaves:
             raise RequestError(f"position {pos} out of [0, {self.leaves}]")
         free = pos
-        for seg in self._segs:
-            if seg[0] >= pos:
+        for first, level, count in self._segs:
+            if first >= pos:
                 break
-            free -= min(_seg_end(seg), pos) - seg[0]
+            end = first + (count << level)
+            free -= (end if end < pos else pos) - first
         return free
 
     def total_free_bandwidth(self) -> int:
@@ -481,13 +526,44 @@ class Situation:
             raise RequestError(f"level {level} out of [0, {self.n}]")
         size = 1 << level
         cursor = 0  # start of the free run ending at the next segment
+        for first, lv, count in self._segs:
+            start = (cursor + size - 1) & -size
+            if start + size <= first:
+                return Place(level, start)
+            cursor = first + (count << lv)
+        start = (cursor + size - 1) & -size
+        return Place(level, start) if start + size <= self.leaves else None
+
+    def insert_site(self, level: int) -> tuple[int, Pebble | None, bool] | None:
+        """``(start, left, black)`` in one walk: the start of
+        :meth:`first_free_place`, the pebble left of it, read checked, and
+        its rule C color (True when there is no left pebble); None when no
+        place of ``level`` is free.  The left pebble is the last of the
+        segment before the place, black iff no segment before that one has
+        a bigger level."""
+        if not 0 <= level <= self.n:
+            raise RequestError(f"level {level} out of [0, {self.n}]")
+        size = 1 << level
+        cursor = 0  # start of the free run ending at the next segment
+        top = below = -1  # largest level of the segments walked, and of all but the last
+        left = None  # the last segment walked
         for seg in self._segs:
             start = (cursor + size - 1) & -size
             if start + size <= seg[0]:
-                return Place(level, start)
-            cursor = _seg_end(seg)
-        start = (cursor + size - 1) & -size
-        return Place(level, start) if start + size <= self.leaves else None
+                break
+            first, lv, count = left = seg
+            below = top
+            if lv > top:
+                top = lv
+            cursor = first + (count << lv)
+        else:
+            start = (cursor + size - 1) & -size
+            if start + size > self.leaves:
+                return None
+        if left is None:
+            return start, None, True
+        first, lv, count = left
+        return start, self._read(first + ((count - 1) << lv), lv), below <= lv
 
     def closing_position(self, level: int) -> int | None:
         """Position after the last black pebble of ``level``; if there is
@@ -521,12 +597,14 @@ class Situation:
         the tree, ``_at`` holds exactly their pebbles and ``_peb`` the same
         values by id, and the occupied bandwidth is theirs.  Raises
         :class:`InvariantError` on the first mismatch."""
-        end = 0  # end of the segment before ``seg``
+        end = occupied = 0  # end of the segment before ``seg``, and what they hold
         level = None  # its level
         for seg in self._segs:
-            if seg[2] < 1 or seg[0] < end or (seg[0] == end and seg[1] == level):
+            first, lv, count = seg
+            if count < 1 or first < end or (first == end and lv == level):
                 raise InvariantError(f"segment {seg} does not follow one ending at {end}")
-            end, level = _seg_end(seg), seg[1]
+            end, level = first + (count << lv), lv
+            occupied += count << lv
         if end > self.leaves:
             raise InvariantError(f"segments end at {end}, past the tree's {self.leaves}")
         pebbles = self.pebbles()
@@ -535,7 +613,6 @@ class Situation:
             raise InvariantError(f"{len(self._at)} pebbles stored by start, {len(pebbles)} in segments")
         if len(peb) != len(pebbles) or any(peb.get(p.id) is not p for p in pebbles):
             raise InvariantError("the pebbles stored by id are not those in segments")
-        occupied = sum(count << level for _, level, count in self._segs)
         if occupied != self._occupied:
             raise InvariantError(f"occupied bandwidth {self._occupied}, segments hold {occupied}")
 

@@ -4,10 +4,12 @@ Everything here recomputes answers by plain scans over the pebble list,
 independent of the indexed query structures, so oracle/implementation
 disagreements surface as failures.  One position-ordered pass over
 ``s.pebbles()`` yields the pebbles, their rule C colors and the maximal
-free gaps between them; every scan answer (first free place, free
-bandwidth before a position, closing position, free leaves in a window)
-is read from those lists, so a pass costs O(pebbles + n) and nothing is
-sized by ``2**n``.  ``structural_failures`` makes one such pass per call.
+free gaps between them; every scan answer (first free place, the
+pebble left of it and its color, a level's last pebble and the least
+level right of it, free bandwidth before a position, closing position,
+free leaves in a window) is read from those lists, so a pass costs
+O(pebbles + n) and nothing is sized by ``2**n``.  ``structural_failures``
+makes one such pass per call.
 
 ``exhaustive_verify`` is one breadth-first walk over every admissible
 request sequence up to a depth bound.  The walk keys each state on its
@@ -272,12 +274,29 @@ def structural_failures(s: Situation) -> list[str]:
         if trimmed.validate():
             out.append("removing the last pebble broke validity")
 
+    last: dict[int, tuple[Pebble, int | None]] = {}  # level -> its last pebble, least level right
+    low = None
+    for pebble in reversed(pebs):
+        if pebble.level not in last:
+            last[pebble.level] = (pebble, low)
+        if low is None or pebble.level < low:
+            low = pebble.level
+
     for pebble, black in zip(pebs, colors):
         if s.is_black(pebble.id) != black:
             out.append(f"color disagreement at {pebble.place}")
     for level in levels:
-        if s.first_free_place(level) != first_free[level]:
+        place = first_free[level]
+        if s.first_free_place(level) != place:
             out.append(f"first_free_place disagreement at level {level}")
+        site = None
+        if place is not None:
+            i = bisect.bisect_left(starts, place.start)  # pebs[:i] start left of the place
+            site = (place.start, pebs[i - 1], colors[i - 1]) if i else (place.start, None, True)
+        if s.insert_site(level) != site:
+            out.append(f"insert_site disagreement at level {level}")
+        if s.last_of_level(level) != last.get(level):
+            out.append(f"last_of_level disagreement at level {level}")
         if s.closing_position(level) != closing[level]:
             out.append(f"closing_position disagreement at level {level}")
     for pos in range(0, leaves + 1, max(1, leaves // 8)):
@@ -354,14 +373,16 @@ def _rebuild(n: int, pairs, budget: int):
     return s, CoinLedger(s, budget)
 
 
-def _admissible(s: Situation):
+def _admissible(s: Situation, inserts: list, deletes: list) -> list:
+    """The ``(request, token)`` pairs admissible in ``s``, picked from the
+    per-level ``inserts`` and ``deletes`` (requests are values, so one
+    set serves every state)."""
     free = s.total_free_bandwidth()
-    for level in range(s.n + 1):
-        if (1 << level) <= free:
-            yield Request(INSERT, level=level), f"I{level}"
-    for level in range(s.n + 1):
-        if s.level_count(level):
-            yield Request(DELETE_LEVEL, level=level), f"D{level}"
+    present = {level for _, level, _ in s.segments()}
+    levels = range(s.n + 1)
+    return [inserts[lv] for lv in levels if (1 << lv) <= free] + [
+        deletes[lv] for lv in levels if lv in present
+    ]
 
 
 def exhaustive_verify(
@@ -397,6 +418,8 @@ def exhaustive_verify(
     # holds the root before any edge reaches it
     checked: set = set()
     frontier = [root]
+    inserts = [(Request(INSERT, level=lv), f"I{lv}") for lv in range(n + 1)]
+    deletes = [(Request(DELETE_LEVEL, level=lv), f"D{lv}") for lv in range(n + 1)]
 
     def trace_of(key, token=None) -> tuple[str, ...]:
         toks: list[str] = [] if token is None else [token]
@@ -417,7 +440,7 @@ def exhaustive_verify(
             if not report.ok:
                 break
             base_s, base_ledger = _rebuild(n, key, budget)
-            for request, token in _admissible(base_s):
+            for request, token in _admissible(base_s, inserts, deletes):
                 s = base_s.copy()
                 ledger = base_ledger.copy()
                 try:

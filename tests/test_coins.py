@@ -7,7 +7,6 @@ from ovsfalloc.allocator import apply, delete_last, insert
 from ovsfalloc.coins import (
     CoinLedger,
     closed_run_potential,
-    iter_places,
     potential,
     required_coins,
     run_potential,
@@ -35,10 +34,39 @@ def test_required_coins_formula():
         required_coins(2, 0)
 
 
+def iter_places(start: int, end: int, cap_level: int):
+    """Reference: the greedy canonical decomposition of the free run
+    ``[start, end)``, each place halved from the whole tree until it is
+    aligned at its start and fits the run."""
+    q = start
+    while q < end:
+        align = (q & -q) if q else (1 << cap_level)
+        size = 1 << cap_level
+        while size > align or q + size > end:
+            size >>= 1
+        yield Place(size.bit_length() - 1, q)
+        q += size
+
+
 def test_iter_places_greedy_decomposition():
     assert list(iter_places(1, 8, 4)) == [Place(0, 1), Place(1, 2), Place(2, 4)]
     assert list(iter_places(0, 16, 4)) == [Place(4, 0)]
     assert list(iter_places(6, 7, 4)) == [Place(0, 6)]
+
+
+def test_run_potential_counts_the_reference_places():
+    # every run of every tree up to height 6, against every right pebble level
+    for n in range(7):
+        leaves = 1 << n
+        for start in range(leaves):
+            for end in range(start + 1, leaves + 1):
+                places = list(iter_places(start, end, n))
+                for x_level in range(n + 1):
+                    x = 1 << x_level
+                    literal = sum(required_coins(p.size, x) for p in places)
+                    assert run_potential(start, end, x_level, n) == literal, (
+                        n, start, end, x_level,
+                    )
 
 
 def _ref_potential(s: Situation) -> int:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovsfalloc.allocator import apply, insert
-from ovsfalloc.coins import CoinLedger, iter_places, potential, required_coins
+from ovsfalloc.coins import CoinLedger, potential, required_coins
 from ovsfalloc.layout import scan_pebbles
 from ovsfalloc.model import (
     BLACK,
@@ -28,6 +28,7 @@ from ovsfalloc.oracle import (
 )
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace
+from test_coins import iter_places  # the reference canonical decomposition
 
 
 def build(n, pebs):
@@ -450,19 +451,91 @@ def test_queries_agree_with_scans_on_random_states(seed):
     _check_queries_against_scans(s)
 
 
-@pytest.mark.parametrize("by_id", [False, True])
-def test_segment_scan_matches_pebble_scan_on_trace_states(by_id):
-    # every state of valid traces, at heights where runs are long
-    states = 0
+def _trace_states(by_id):
+    """The empty state and every state after a request of valid random
+    traces, at heights where runs are long."""
     for n in range(2, 11):
         trace = gen_random_trace(n, 300, seed=100 + n, insert_ratio=0.6, by_id=by_id)
         s = Situation(n)
-        _assert_scan_fresh(s)
+        yield s
         for request in trace.requests:
             apply(s, request)
-            _assert_scan_fresh(s)
-            states += 1
-    assert states == 9 * 300
+            yield s
+
+
+@pytest.mark.parametrize("by_id", [False, True])
+def test_segment_scan_matches_pebble_scan_on_trace_states(by_id):
+    states = 0
+    for s in _trace_states(by_id):
+        _assert_scan_fresh(s)
+        states += 1
+    assert states == 9 * 301
+
+
+def _state(s):
+    return list(s._segs), dict(s._at), dict(s._peb), s._occupied, s._next_id
+
+
+@pytest.mark.parametrize("by_id", [False, True])
+def test_one_walk_reads_match_the_reads_they_replace(by_id):
+    # insert_site and last_of_level against the queries the allocator
+    # composed before, and remove_last against remove_pebble of the last
+    states = 0
+    for s in _trace_states(by_id):
+        for level in range(s.n + 1):
+            place = s.first_free_place(level)
+            site = None
+            if place is not None:
+                left = s.pebble_before(place.start)
+                site = (place.start, left, left is None or s.is_black(left.id))
+            assert s.insert_site(level) == site
+
+            last = s.rightmost_of_level(level)
+            found = None if last is None else (last, s.smallest_level_right(last.start))
+            assert s.last_of_level(level) == found
+            if last is not None:
+                walked, composed = s.copy(), s.copy()
+                assert walked.remove_last(level) == found
+                composed.remove_pebble(last.id)
+                assert _state(walked) == _state(composed)
+            else:
+                assert s.copy().remove_last(level) is None
+        states += 1
+    assert states == 9 * 301
+
+
+@pytest.mark.parametrize(
+    "start,walk",
+    [
+        (8, lambda s: s.insert_site(0)),  # left of the first free unit place, 10
+        (40, lambda s: s.insert_site(3)),  # left of the first free 8@48
+        (4, lambda s: s.last_of_level(2)),
+        (40, lambda s: s.last_of_level(3)),
+        (4, lambda s: s.remove_last(2)),
+        (40, lambda s: s.remove_last(3)),
+    ],
+)
+def test_one_walk_reads_refuse_a_stray_copy(start, walk):
+    # the copy each walk reads is a smaller pebble than its segment holds
+    s = _valid_state()
+    p = s._at[start]
+    s._at[start] = s._peb[p.id] = Pebble(p.id, p.level - 1, start)
+    before = _state(s)
+    with pytest.raises(InvariantError):
+        walk(s)
+    assert _state(s) == before
+
+
+def test_remove_last_refuses_a_stray_id_copy():
+    # an equal pebble, but not the object stored at its start
+    s = _valid_state()
+    p = s._at[40]
+    s._peb[p.id] = Pebble(p.id, p.level, p.start)
+    before = _state(s)
+    assert s.last_of_level(3) == (p, None)  # reads only the copy at 40
+    with pytest.raises(InvariantError):
+        s.remove_last(3)
+    assert _state(s) == before
 
 
 def test_segment_scan_matches_pebble_scan_on_arbitrary_layouts():

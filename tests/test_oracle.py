@@ -74,6 +74,25 @@ def test_structural_failures_flag_broken_states():
     assert any("not 0" in p for p in problems)
 
 
+@pytest.mark.parametrize(
+    "walk,wrong",
+    [
+        # the pebble left of the place is reported black, or missing
+        ("insert_site", lambda site: site and (site[0], site[1], not site[2])),
+        ("insert_site", lambda site: site and (site[0], None, True)),
+        # the least level right of the last pebble is off by one, or missing
+        ("last_of_level", lambda found: found and (found[0], (found[1] or 0) + 1)),
+        ("last_of_level", lambda found: None),
+    ],
+)
+def test_structural_failures_check_the_one_walk_reads(monkeypatch, walk, wrong):
+    s = build(4, [(2, 0), (1, 2), (4, 4), (2, 8)])
+    real = getattr(Situation, walk)
+    monkeypatch.setattr(Situation, walk, lambda self, level: wrong(real(self, level)))
+    problems = structural_failures(s)
+    assert problems and all(p.startswith(f"{walk} disagreement at level ") for p in problems)
+
+
 def test_exhaustive_tiny_all_pass():
     report = exhaustive_verify(1, 2)
     assert report.ok and report.failures == []

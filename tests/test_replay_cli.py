@@ -304,6 +304,19 @@ def test_cli_run_baseline_and_flags(tmp_path, capsys):
     assert "stat.total_coins_injected=0" in out  # no ledger for the baseline
 
 
+@pytest.mark.parametrize(
+    "flags", [["--no-audit"], ["--audit-every", "1"], ["--budget", "4"]]
+)
+def test_cli_run_baseline_rejects_coin_flags(tmp_path, capsys, flags):
+    # the baseline has no coin certificate, so a coin flag would be ignored
+    path = _write(tmp_path, "c.trace", "n=2\nI 0\nI 1\n")
+    assert main(["run", path, "--allocator", "baseline", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[0]} needs the paper allocator: the baseline has no coin certificate\n"
+    assert main(["run", path, *flags]) == 0  # the paper allocator takes each
+
+
 def test_cli_run_input_errors(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.trace")]) == 2
     bad = _write(tmp_path, "bad.trace", "n=2\nD 0\n")
