@@ -142,7 +142,7 @@ def insert(s: Situation, level: int, options: AllocatorOptions | None = None) ->
         new = s.place_pebble(level, c.end)
         s.place_pebble(b.level, new.end, pid=b.id)
         log.placed = (new.id, new.place)
-        log.moved.append((b.id, b.place, Place(b.level, new.end)))
+        log.moved.append((b.id, b.place, tuple.__new__(Place, (b.level, new.end))))
         log.branch = ROTATE_PAIR
         return log
 
@@ -181,10 +181,10 @@ def insert(s: Situation, level: int, options: AllocatorOptions | None = None) ->
     if e is not None:
         s.place_pebble(e.level, b.start, pid=e.id)
     log.placed = (new.id, new.place)
-    log.moved.append((b.id, b.place, Place(b.level, cp if renamed else cp + big)))
-    log.moved.append((d.id, d.place, Place(d.level, d_start)))
+    log.moved.append((b.id, b.place, tuple.__new__(Place, (b.level, cp if renamed else cp + big))))
+    log.moved.append((d.id, d.place, tuple.__new__(Place, (d.level, d_start))))
     if e is not None:
-        log.moved.append((e.id, e.place, Place(e.level, b.start)))
+        log.moved.append((e.id, e.place, tuple.__new__(Place, (e.level, b.start))))
     log.branch = SHUFFLE_BLACK if e is None else SHUFFLE_WHITE
     log.renamed = renamed
     return log

@@ -56,7 +56,8 @@ def baseline_insert(s: Situation, level: int) -> MoveLog:
     moved = []
     for start, new_start in reversed(hops):  # top down, each onto a free slot
         p = s.move_at(start, new_start)
-        moved.append((p.id, Place(p.level, start), Place(p.level, new_start)))
+        old, new = tuple.__new__(Place, (p.level, start)), tuple.__new__(Place, (p.level, new_start))
+        moved.append((p.id, old, new))
     moved.reverse()  # logged bottom up
     new = s.place_pebble(level, place.start)
     log = MoveLog(INSERT, level=level, placed=(new.id, place), branch="baseline-insert")
@@ -80,7 +81,8 @@ def baseline_delete(s: Situation, level: int) -> MoveLog:
             if start - want != size:
                 raise InvariantError("sorted layout drifted by more than one slot")
             mover = s.move_at(start + (count - 1) * size, want)
-            log.moved.append((mover.id, Place(lv, mover.start), Place(lv, want)))
+            old, new = tuple.__new__(Place, (lv, mover.start)), tuple.__new__(Place, (lv, want))
+            log.moved.append((mover.id, old, new))
             start = want
         end = start + count * size
     return log

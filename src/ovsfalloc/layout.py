@@ -6,7 +6,10 @@ of contiguous equal-size pebbles, the form :class:`~ovsfalloc.model.Situation`
 stores, and finds in one pass every P1/P2/P3, alignment and overlap breach
 (see the ``model`` module for the properties) and the maximal free runs
 that the coin audit recounts.  :func:`scan_pebbles` is the same walk over
-a plain pebble list.
+a plain pebble list.  The scan follows every checked request, so it keeps
+its state in local scalars and builds no value for a check that passes;
+hot paths build a ``Place`` as ``tuple.__new__(Place, (level, start))``,
+without the NamedTuple's Python-level ``__new__``.
 """
 
 from __future__ import annotations
@@ -93,113 +96,127 @@ def scan_runs(runs, leaves: int, witness) -> PebbleScan:
     ``witness(i, k)``, the id of pebble ``k`` of run ``i``, is called only
     for a breach that names that pebble.
 
-    P2 and P3 are judged on a window of the previous two pebbles.  The
-    violations are stably sorted by place start; at one start, the pebbles'
-    own alignment/overlap/P1 breaches come first, then P2, then P3.  Free
-    runs follow a running maximum end, so overlapping pebbles still leave
-    only leaves that no pebble covers.
+    P2 and P3 are judged on a window of the previous two pebbles, kept as
+    scalars.  The violations are stably sorted by place start; at one
+    start, the pebbles' own alignment/overlap/P1 breaches come first, then
+    P2, then P3.  A scan with no breach sorts nothing.  Free runs follow a
+    running maximum end, so overlapping pebbles still leave only leaves
+    that no pebble covers.
 
-    A run's pebbles share one level, so a run that starts at or after the
-    end of the covered prefix and ends inside the tree is judged in one
-    step: each of its pebbles has the color and the free bandwidth before
-    it of the first, no gap opens inside it, and P3 cannot fire there.
-    Any other run (overlap, or past the tree's end) is walked one pebble
-    per step.
+    A run's pebbles share one level, so a well-formed run, one that starts
+    at or after the covered prefix, is aligned and ends inside the tree, is
+    judged in one step: each of its pebbles has the color and the free
+    bandwidth before it of the first, no gap opens inside it, and P3
+    cannot fire there.  Any other run is walked one pebble per step.
     """
     out: list[Violation] = []
     p2: list[Violation] = []
     p3: list[Violation] = []
-    gaps: list[tuple[int, int]] = []
-    lows: list[int] = []  # lows[i]: least level of the pebbles between gaps i - 1 and i
-    low = 0  # least level since the last gap; lows[0], before any gap, is unused
+    # free gaps (start, end, least level of the pebbles since the gap
+    # before); that level is unused for the first gap
+    gaps: list[tuple[int, int, int]] = []
+    low = 0  # least level since the last gap
     top = -1  # largest level seen so far
-    covered = 0  # leaves covered so far, overlap-clamped
+    uncovered = 0  # ``prev_end`` less the leaves covered so far, overlap-clamped
     prev_end = 0
-    # window entries (run index, index in run, level, start): ``pp`` and
-    # ``prev`` precede the step's first pebble; the first pebble is always
-    # black, so ``pp`` exists whenever ``prev`` is white
-    pp = prev = None
+    # the window: run, index in run and level of the pebble before the last
+    # (``pp_*``) and of the last (``p_*``, with its start); the first pebble
+    # is always black, so ``pp_*`` is set whenever the last pebble is white
+    pp_i = pp_k = pp_level = p_k = p_level = p_start = 0
+    p_i = -1  # no pebble yet
     prev_black = True
     for i, (start, level, count) in enumerate(runs):
         size = 1 << level
-        k = 0  # pebbles of the run judged so far
-        while k < count:
-            m = count - k  # pebbles judged in this step
-            end = start + (m << level)
-            if start < prev_end or end > leaves:
-                m = 1
-                end = start + size
-            if start & (size - 1):
+        end = start + (count << level)
+        if prev_end <= start < end <= leaves and not start & (size - 1):
+            if start == prev_end:
+                if level < low:
+                    low = level
+            else:
+                gaps.append((prev_end, start, low))
+                low = level
+                uncovered += start - prev_end
+            black = top <= level
+            if uncovered >= size:  # the free bandwidth before the run
+                detail = f"free bandwidth {uncovered} >= {size}"
                 out += [
-                    Violation("alignment", (witness(i, k + j),), Place(level, start + (j << level)))
-                    for j in range(m)
+                    Violation("P1", (witness(i, j),), Place(level, start + (j << level)), detail)
+                    for j in range(count)
                 ]
+            prev_end = end
+            if level > top:
+                top = level
+            if not prev_black:
+                if not black:
+                    p2.append(Violation("P2", (witness(p_i, p_k), witness(i, 0)), Place(level, start)))
+                elif pp_level == level:
+                    # no level above ``level`` precedes this pebble, so ``pp`` is black
+                    witnesses = (witness(pp_i, pp_k), witness(p_i, p_k), witness(i, 0))
+                    p3.append(Violation("P3", witnesses, Place(p_level, p_start)))
+            if count > 1:
+                if not black:  # a white pebble after each white pebble of the run
+                    p2 += [
+                        Violation("P2", (witness(i, j - 1), witness(i, j)), Place(level, start + (j << level)))
+                        for j in range(1, count)
+                    ]
+                pp_i, pp_k, pp_level = i, count - 2, level
+            else:
+                pp_i, pp_k, pp_level = p_i, p_k, p_level
+            p_i, p_k, p_level = i, count - 1, level
+            p_start = end - size
+            prev_black = black
+            continue
+        for k in range(count):
+            end = start + size
+            covered = prev_end - uncovered  # overlap-clamped
+            if start & (size - 1):
+                out.append(Violation("alignment", (witness(i, k),), Place(level, start)))
             if start == prev_end:
                 if level < low:
                     low = level
             elif start > prev_end:
-                lows.append(low)
-                gaps.append((prev_end, start))
+                gaps.append((prev_end, start, low))
                 low = level
             else:
-                if prev is not None:
-                    witnesses = (witness(prev[0], prev[1]), witness(i, k))
+                if p_i >= 0:
+                    witnesses = (witness(p_i, p_k), witness(i, k))
                     out.append(Violation("overlap", witnesses, Place(level, start)))
                 if level < low:
                     low = level
             black = top <= level
-            if covered < start and start - covered >= size:
+            if start - covered >= size:
                 detail = f"free bandwidth {start - covered} >= {size}"
-                out += [
-                    Violation("P1", (witness(i, k + j),), Place(level, start + (j << level)), detail)
-                    for j in range(m)
-                ]
+                out.append(Violation("P1", (witness(i, k),), Place(level, start), detail))
             hi = end if end < leaves else leaves
             lo = start if start > prev_end else prev_end
             if hi > lo:
                 covered += hi - lo
             if end > prev_end:
                 prev_end = end
+            uncovered = prev_end - covered
             if level > top:
                 top = level
             if not prev_black:
                 if not black:
-                    witnesses = (witness(prev[0], prev[1]), witness(i, k))
-                    p2.append(Violation("P2", witnesses, Place(level, start)))
-                elif pp[2] == level:
-                    # no level above ``level`` precedes this pebble, so ``pp`` is black
-                    witnesses = (witness(pp[0], pp[1]), witness(prev[0], prev[1]), witness(i, k))
-                    p3.append(Violation("P3", witnesses, Place(prev[2], prev[3])))
-            k += m
-            if m > 1:
-                if not black:  # a white pebble after each white pebble of the step
-                    p2 += [
-                        Violation(
-                            "P2",
-                            (witness(i, k - m + j - 1), witness(i, k - m + j)),
-                            Place(level, start + (j << level)),
-                        )
-                        for j in range(1, m)
-                    ]
-                pp = (i, k - 2, level, end - 2 * size)
-            else:
-                pp = prev
-            prev = (i, k - 1, level, end - size)
+                    p2.append(Violation("P2", (witness(p_i, p_k), witness(i, k)), Place(level, start)))
+                elif pp_level == level:
+                    witnesses = (witness(pp_i, pp_k), witness(p_i, p_k), witness(i, k))
+                    p3.append(Violation("P3", witnesses, Place(p_level, p_start)))
+            pp_i, pp_k, pp_level = p_i, p_k, p_level
+            p_i, p_k, p_level = i, k, level
+            p_start = start
             prev_black = black
             start = end
-    out += p2
-    out += p3
-    out.sort(key=lambda v: v.place.start)
+    violations = ()
+    if out or p2 or p3:
+        violations = tuple(sorted(out + p2 + p3, key=lambda v: v.place.start))
     # each gap sees the least level of every block after it: a suffix minimum
     free: list[tuple[int, int, int | None]] = []
+    for gap_start, gap_end, before in reversed(gaps):
+        free.append((gap_start, gap_end, low))
+        if before < low:
+            low = before
+    free.reverse()
     if prev_end < leaves:
         free.append((prev_end, leaves, None))
-    lows.append(low)
-    x_level = None
-    for i in range(len(gaps) - 1, -1, -1):
-        block = lows[i + 1]
-        if x_level is None or block < x_level:
-            x_level = block
-        free.append((*gaps[i], x_level))
-    free.reverse()
-    return PebbleScan(tuple(out), tuple(free))
+    return tuple.__new__(PebbleScan, (violations, tuple(free)))  # as for Place

@@ -101,7 +101,7 @@ class Pebble:
 
     @property
     def place(self) -> Place:
-        return Place(self.level, self.start)
+        return tuple.__new__(Place, (self.level, self.start))  # no NamedTuple __new__ call
 
 
 _SET_ID, _SET_LEVEL, _SET_START = (Pebble.__dict__[f].__set__ for f in ("id", "level", "start"))

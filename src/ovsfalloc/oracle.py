@@ -395,9 +395,9 @@ def exhaustive_verify(
     requests, checking every edge and every state it reaches.
 
     Deduplicates on the pebble set and expands each state once.  The per-
-    edge checks (exception, insert bound, ``cross_check`` of every pebble
-    copy against the segment list, charge) run on every edge, and a
-    failed cross-check has stage ``index``; the state checks
+    edge checks (any exception from ``apply``, insert bound, ``cross_check``
+    of every pebble copy against the segment list, charge) run on every
+    edge, and a failed cross-check has stage ``index``; the state checks
     (``validate``, ``structural_failures``, the P4 audit) run on the first
     edge that reaches a state, the first edge back to the empty root
     included.  Stops at the first failure and reports the request
@@ -445,7 +445,7 @@ def exhaustive_verify(
                 ledger = base_ledger.copy()
                 try:
                     log = apply(s, request, options)
-                except AllocationError as exc:
+                except Exception as exc:  # a broken allocator fails the walk, not ``verify``
                     fail(key, token, "exception", f"{type(exc).__name__}: {exc}")
                     break
                 report.transitions += 1

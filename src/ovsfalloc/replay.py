@@ -10,8 +10,10 @@ failure, a typed error raised by a checked read included, ends the replay
 with a ``ReplayError`` naming the request; a failed audit carries its P4
 detail.  Statistics and log lines (none unless a ``log_format`` is
 given) read each request's charge from the ``SettleInfo`` that settling
-it returned.  This module alone formats the request log: it computes
-each request's fields once and renders them as text or as jsonl.
+it returned; the totals are locals that fill ``RunStats`` once, after the
+last request, since a failed request raises.  This module alone formats
+the request log: it computes each request's fields once and renders them
+as text or as jsonl.
 """
 
 from __future__ import annotations
@@ -121,9 +123,10 @@ def replay(
     s = Situation(trace.n)
     use_coins = audit and allocator == PAPER
     ledger = CoinLedger(s, budget) if use_coins else None
-    stats = RunStats()
     lines: list[str] = []
     info = None  # the request's charge, with a ledger
+    moves = max_moves = max_insert_moves = iterations = relabels = 0
+    injected = consumed = max_injected = findings = 0
 
     last = len(trace.requests)
     for index, request in enumerate(trace.requests, start=1):
@@ -141,20 +144,19 @@ def replay(
                         raise ReplayError(index, f"P4 audit failed: {failures[0]}")
         except AllocationError as exc:
             raise _request_error(index, exc) from exc
-        stats.m += 1
         cost = log.cost(count_relabel)
-        stats.total_moves += cost
-        stats.max_moves = max(stats.max_moves, cost)
-        if log.kind == INSERT:
-            stats.max_insert_moves = max(stats.max_insert_moves, len(log.moved))
-        stats.total_delete_iterations += log.iterations
+        moves += cost
+        max_moves = cost if cost > max_moves else max_moves
+        if log.kind == INSERT and len(log.moved) > max_insert_moves:
+            max_insert_moves = len(log.moved)
+        iterations += log.iterations
         if log.relabel is not None:
-            stats.relabels += 1
+            relabels += 1
         if ledger is not None:
-            stats.total_injected += info.injected
-            stats.total_consumed += info.consumed
-            stats.max_injected = max(stats.max_injected, info.injected)
-            stats.budget_findings += len(info.findings)
+            injected += info.injected
+            consumed += info.consumed
+            max_injected = info.injected if info.injected > max_injected else max_injected
+            findings += len(info.findings)
         if log_format is not None:
             lines += _log_lines(log_format, index, log, info, ledger)
 
@@ -168,7 +170,12 @@ def replay(
             ledger.balance_check()
     except AllocationError as exc:
         raise _request_error(last, exc) from exc
-    stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
+    stats = RunStats(
+        m=last, total_moves=moves, max_moves=max_moves, max_insert_moves=max_insert_moves,
+        total_delete_iterations=iterations, relabels=relabels, max_injected=max_injected,
+        total_injected=injected, total_consumed=consumed, budget_findings=findings,
+        wall_time_ms=(time.perf_counter() - t0) * 1000.0,
+    )
     return ReplayResult(stats, s, ledger, lines)
 
 

@@ -106,6 +106,7 @@ def parse_trace(text: str) -> Trace:
     n = None
     requests: list[Request] = []
     request_lines: list[int] = []
+    shared: dict[str, Request] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,18 +121,21 @@ def parse_trace(text: str) -> Trace:
             if n < 0:
                 raise TraceError(f"negative height {n}", line=lineno)
             continue
-        parts = line.split()
-        try:
-            if parts[0] == "I" and len(parts) == 2:
-                requests.append(Request(INSERT, level=int(parts[1])))
-            elif parts[0] == "D" and len(parts) == 2:
-                requests.append(Request(DELETE_LEVEL, level=int(parts[1])))
-            elif parts[0] == "DID" and len(parts) == 2:
-                requests.append(Request(DELETE_ID, id=int(parts[1])))
-            else:
-                raise TraceError(f"unrecognized request {line!r}", line=lineno)
-        except ValueError:
-            raise TraceError(f"bad number in {line!r}", line=lineno) from None
+        request = shared.get(line)  # requests are values: one per distinct I/D line
+        if request is None:
+            parts = line.split()
+            try:
+                if parts[0] == "I" and len(parts) == 2:
+                    request = shared[line] = Request(INSERT, level=int(parts[1]))
+                elif parts[0] == "D" and len(parts) == 2:
+                    request = shared[line] = Request(DELETE_LEVEL, level=int(parts[1]))
+                elif parts[0] == "DID" and len(parts) == 2:
+                    request = Request(DELETE_ID, id=int(parts[1]))
+                else:
+                    raise TraceError(f"unrecognized request {line!r}", line=lineno)
+            except ValueError:
+                raise TraceError(f"bad number in {line!r}", line=lineno) from None
+        requests.append(request)
         request_lines.append(lineno)
     if n is None:
         raise TraceError("empty trace: missing 'n=<height>' header", line=1)

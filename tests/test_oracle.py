@@ -4,8 +4,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovsfalloc import oracle
+from ovsfalloc import allocator, oracle
 from ovsfalloc.allocator import AllocatorOptions, apply
+from ovsfalloc.cli import main
 from ovsfalloc.model import Pebble, Place, RequestError, Situation
 from ovsfalloc.oracle import (
     canput_oracle,
@@ -168,6 +169,20 @@ def test_unhit_branch_fails_where_coverage_is_required(monkeypatch):
         "[coverage] after <empty>: unhit branches: ['never']"
     ]
     assert exhaustive_verify(4, 5).ok
+
+
+def test_any_exception_from_apply_fails_the_walk(monkeypatch, capsys):
+    def broken(s, level, options=None):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(allocator, "insert", broken)
+    report = exhaustive_verify(3, 2)
+    assert not report.ok
+    assert [str(f) for f in report.failures] == ["[exception] after I0: TypeError: planted"]
+    assert main(["verify", "--height", "3", "--depth", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "failure: [exception] after I0: TypeError: planted" in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,55 @@ def test_replay_jsonl_output_pinned(name, allocator):
     assert _digest(res.request_lines) == PINNED_JSONL[name, allocator]
 
 
+def _place(text):
+    size, start = text.split("@")
+    return int(size), int(start)
+
+
+@pytest.mark.parametrize("name,allocator", sorted(PINNED_JSONL))
+def test_replay_totals_match_the_request_log(name, allocator):
+    # the stats recomputed from the jsonl lines alone; relabels are found
+    # by following every pebble: a by-id delete relabels when the pebble
+    # it names is not the rightmost of its size, which is the one removed
+    res = replay(PINNED_TRACES[name](), allocator=allocator, log_format="jsonl")
+    entries = [json.loads(line) for line in res.request_lines]
+    places = {}  # id -> (size, start)
+    relabels = 0
+    for entry in entries:
+        pid = entry["removed"]
+        removed = pid
+        if entry["op"].startswith("DID"):
+            size = places[pid][0]
+            removed = max((p for p in places if places[p][0] == size), key=lambda p: places[p][1])
+        if removed is not None:
+            del places[removed]
+        for move in entry["moved"]:
+            mover, _, new = move.partition(":")
+            places[int(mover)] = _place(new.split("->")[1])
+        if entry["placed"] is not None:
+            new_id, _, place = entry["placed"].partition(":")
+            places[int(new_id)] = _place(place)
+        if removed != pid:
+            places[removed] = places.pop(pid)
+            relabels += 1
+    assert places == {p.id: (p.size, p.start) for p in res.situation.pebbles()}
+    moves = [len(e["moved"]) for e in entries]
+    insert_moves = [len(e["moved"]) for e in entries if e["op"].startswith("I")]
+    coins = [e["coins"] for e in entries if "coins" in e]
+    assert len(coins) == (len(entries) if allocator == "paper" else 0)
+    injected = [c["injected"] for c in coins]
+    stats = res.stats
+    assert (stats.m, stats.total_moves, stats.max_moves, stats.max_insert_moves) == (
+        len(entries), sum(moves), max(moves), max(insert_moves)
+    )
+    assert stats.total_delete_iterations == sum(e["iters"] for e in entries)
+    assert stats.relabels == relabels
+    assert (stats.total_injected, stats.max_injected, stats.total_consumed) == (
+        sum(injected), max(injected, default=0), sum(c["consumed"] for c in coins)
+    )
+    assert relabels > 0 if name == "by-id12" else relabels == 0
+
+
 @pytest.mark.parametrize("method", ["settle", "audit"])
 def test_ledger_errors_cite_request_index(tmp_path, capsys, monkeypatch, method):
     def broken(self, *args):

@@ -51,6 +51,22 @@ def test_admissibility_errors_cite_request_index():
         parse_trace("n=2\nI 0\nDID 1\nDID 1\n")
 
 
+def test_equal_insert_and_delete_lines_share_one_request():
+    trace = parse_trace("n=3\nI 0\nI 1\nI 0\nD 0\nI 1\nD 0\nDID 2\nDID 2\n")
+    r = trace.requests
+    assert r[0] is r[2] and r[1] is r[4] and r[3] is r[5]
+    assert r[0] is not r[1] and r[0] != r[3]
+    assert r[6] == r[7] and r[6] is not r[7]  # each DID line is its own request
+
+
+def test_a_repeated_line_that_fails_names_its_own_line_and_index():
+    # each failing line repeats one that passed
+    with pytest.raises(TraceError, match="^line 6: request 4: insert of size 2 exceeds free bandwidth 0$"):
+        parse_trace("n=2\nI 0\n# c\nI 0\nI 1\nI 1\n")
+    with pytest.raises(TraceError, match="^line 5: request 3: deletion of empty level 0"):
+        parse_trace("n=2\nI 0\nD 0\n\nD 0\n")
+
+
 def test_empty_trace():
     trace = gen_random_trace(3, 0, seed=1, insert_ratio=0.5)
     assert len(trace) == 0
