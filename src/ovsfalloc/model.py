@@ -388,13 +388,12 @@ class Situation:
         its segment."""
         get = self._at.get
         out = []
-        append = out.append
         for first, level, count in self._segs:
             for start in range(first, first + (count << level), 1 << level):
                 pebble = get(start)
                 if pebble is None or pebble.start != start or pebble.level != level:
                     raise _stray(pebble, start, level)
-                append(pebble)
+                out.append(pebble)
         return out
 
     def segments(self) -> tuple[tuple[int, int, int], ...]:
@@ -597,21 +596,25 @@ class Situation:
         the tree, ``_at`` holds exactly their pebbles and ``_peb`` the same
         values by id, and the occupied bandwidth is theirs.  Raises
         :class:`InvariantError` on the first mismatch."""
-        end = occupied = 0  # end of the segment before ``seg``, and what they hold
-        level = None  # its level
+        end, level, occupied, pebbles = 0, None, 0, 0  # ``seg``'s predecessor; totals so far
+        at, peb = self._at, self._peb
         for seg in self._segs:
             first, lv, count = seg
             if count < 1 or first < end or (first == end and lv == level):
                 raise InvariantError(f"segment {seg} does not follow one ending at {end}")
-            end, level = first + (count << lv), lv
+            end, level, pebbles = first + (count << lv), lv, pebbles + count
             occupied += count << lv
+            for start in range(first, end, 1 << lv):
+                pebble = at.get(start)
+                if pebble is None or pebble.start != start or pebble.level != lv:
+                    raise _stray(pebble, start, lv)
+                if peb.get(pebble.id) is not pebble:
+                    raise InvariantError("the pebbles stored by id are not those in segments")
         if end > self.leaves:
             raise InvariantError(f"segments end at {end}, past the tree's {self.leaves}")
-        pebbles = self.pebbles()
-        peb = self._peb
-        if len(self._at) != len(pebbles):
-            raise InvariantError(f"{len(self._at)} pebbles stored by start, {len(pebbles)} in segments")
-        if len(peb) != len(pebbles) or any(peb.get(p.id) is not p for p in pebbles):
+        if len(at) != pebbles:
+            raise InvariantError(f"{len(at)} pebbles stored by start, {pebbles} in segments")
+        if len(peb) != pebbles:
             raise InvariantError("the pebbles stored by id are not those in segments")
         if occupied != self._occupied:
             raise InvariantError(f"occupied bandwidth {self._occupied}, segments hold {occupied}")
@@ -625,17 +628,14 @@ class Situation:
     # snapshot text format
 
     def serialize(self) -> str:
-        lines = [f"n={self.n}"]
-        lines.extend(f"{p.size}@{p.start}" for p in self.pebbles())
-        return "\n".join(lines) + "\n"
+        return f"n={self.n}\n" + "".join(f"{p.size}@{p.start}\n" for p in self.pebbles())
 
 
 def parse_snapshot(text: str) -> Situation:
     """Parse the ``n=<height>`` / ``<size>@<start>`` snapshot format."""
-    lines = text.splitlines()
     header = None
     situation = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

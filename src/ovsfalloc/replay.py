@@ -119,6 +119,8 @@ def replay(
         raise ValueError(f"unknown log_format {log_format!r}")
     if audit_every < 1:
         raise ValueError(f"audit_every must be >= 1, got {audit_every}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     t0 = time.perf_counter()
     s = Situation(trace.n)
     use_coins = audit and allocator == PAPER

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import sys
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ovsfalloc import allocator, oracle
 from ovsfalloc.allocator import AllocatorOptions, apply
 from ovsfalloc.cli import main
+from ovsfalloc.coins import CoinLedger
 from ovsfalloc.model import Pebble, Place, RequestError, Situation
 from ovsfalloc.oracle import (
     canput_oracle,
@@ -107,6 +110,9 @@ def test_exhaustive_rejects_negative_bounds():
         exhaustive_verify(-1, 2)
     with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
         exhaustive_verify(2, -1)
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        exhaustive_verify(2, 2, budget=-1)
+    assert exhaustive_verify(2, 2, budget=0).ok
 
 
 def test_exhaustive_counts_are_deterministic():
@@ -159,6 +165,53 @@ def test_coverage_required_only_where_every_branch_is_reachable():
     for report in (closed, exhaustive_verify(4, 4)):
         assert report.ok and report.failures == []
         assert report.missing_coverage() == ["shuffle-white", "delete-swap"]
+
+
+CLOSURE_DIGESTS = {  # sha256 of json.dumps(report.to_dict()), recorded with states keyed on pebble places
+    3: "273918b4fc3b2be846866dd895501c9a8825152caf3026aad4cef2365f0bbe85",
+    4: "025505632c7fa15292b1a0cccde01abe1bb53881b1b097d51ccfc99ce6eca6a5",
+}
+
+
+@pytest.mark.parametrize("n, depth, states, edges", [(3, 9, 45, 148), (4, 17, 305, 1375)])
+def test_small_closures_are_pinned(monkeypatch, n, depth, states, edges):
+    # the walk keys a state on its segments; counting the states by their
+    # pebbles instead must give the same number, so the segment key neither
+    # merges two states nor splits one
+    reached = set()
+    real_apply = oracle.apply
+
+    def apply_(s, request, options=None):
+        log = real_apply(s, request, options)
+        reached.add(s.to_pairs())
+        return log
+
+    monkeypatch.setattr(oracle, "apply", apply_)
+    report = exhaustive_verify(n, depth)
+    assert report.ok and (report.states, report.transitions) == (states, edges)
+    assert len(reached) == report.states
+    assert hashlib.sha256(json.dumps(report.to_dict()).encode()).hexdigest() == CLOSURE_DIGESTS[n]
+    # the walk is closed: one more request reaches no new state and no new edge
+    deeper = exhaustive_verify(n, depth + 1)
+    assert deeper.ok and (deeper.states, deeper.transitions) == (states, edges)
+
+
+@pytest.mark.parametrize("n, depth, findings", [(4, 17, 324), (5, 6, 459)])
+def test_every_finding_edge_leaves_one_note(monkeypatch, n, depth, findings):
+    # each edge is expanded once and its trace is unique, so no note repeats
+    edges = []
+    real_settle = CoinLedger.settle
+
+    def settle(self, s, log):
+        info = real_settle(self, s, log)
+        if info.findings:
+            edges.append(log)
+        return info
+
+    monkeypatch.setattr(CoinLedger, "settle", settle)
+    report = exhaustive_verify(n, depth, budget=0)
+    assert report.ok
+    assert len(report.notes) == len(set(report.notes)) == len(edges) == findings
 
 
 def test_unhit_branch_fails_where_coverage_is_required(monkeypatch):

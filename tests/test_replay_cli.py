@@ -291,8 +291,9 @@ def test_cli_exits_1_on_a_planted_corruption(tmp_path, capsys, monkeypatch, plan
 
 def test_checked_replay_walks_the_pebbles_once(monkeypatch):
     # validate reads the segments: the only O(pebbles) walk of a checked
-    # replay is its final cross-check, and a valid layout reads no witness
-    calls = {"pebbles": 0, "scan_pebbles": 0, "witness": 0}
+    # replay is its final cross-check, which reads the stored copies in its
+    # own segment walk, and a valid layout reads no witness
+    calls = {"pebbles": 0, "cross_check": 0, "scan_pebbles": 0, "witness": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -302,11 +303,12 @@ def test_checked_replay_walks_the_pebbles_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(Situation, "pebbles", counted("pebbles", Situation.pebbles))
+    monkeypatch.setattr(Situation, "cross_check", counted("cross_check", Situation.cross_check))
     monkeypatch.setattr(Situation, "_witness", counted("witness", Situation._witness))
     monkeypatch.setattr(layout, "scan_pebbles", counted("scan_pebbles", layout.scan_pebbles))
     res = replay(_checked12_trace(), validate_each=True)
     assert res.stats.m == 2000
-    assert calls == {"pebbles": 1, "scan_pebbles": 0, "witness": 0}
+    assert calls == {"pebbles": 0, "cross_check": 1, "scan_pebbles": 0, "witness": 0}
 
 
 def test_stat_lines_deterministic_and_exclude_wall_time():
@@ -417,6 +419,13 @@ def test_gen_out_in_a_missing_directory_is_a_usage_error(tmp_path, capsys):
 def test_replay_rejects_audit_interval_below_one():
     with pytest.raises(ValueError, match="audit_every must be >= 1, got 0"):
         replay(parse_trace("n=2\nI 0\n"), audit_every=0)
+
+
+def test_replay_rejects_a_negative_budget():
+    # a negative budget would turn every request into a finding
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        replay(parse_trace("n=2\nI 0\n"), budget=-1)
+    assert replay(parse_trace("n=2\nI 0\n"), budget=0).stats.m == 1
 
 
 def test_replay_rejects_unknown_log_format():
