@@ -3,7 +3,6 @@ amortized reallocations, a potential-function certificate of that bound,
 a sorted baseline and a verification harness."""
 
 from .allocator import (
-    AllocatorOptions,
     MoveLog,
     Request,
     apply,
@@ -39,7 +38,6 @@ from .workloads import (
 
 __all__ = [
     "AllocationError",
-    "AllocatorOptions",
     "BandwidthError",
     "CoinLedger",
     "InvariantError",

@@ -10,6 +10,9 @@ are raised before anything is mutated, so a rejected request leaves the
 situation bit-identical.  Both procedures assume the input situation is
 valid; replaying through :mod:`ovsfalloc.replay` re-validates after every
 request unless explicitly disabled.
+
+The procedures carry no test switches: the verifier's mutants are edits
+of this source, each named in :data:`ovsfalloc.oracle.MUTANTS`.
 """
 
 from __future__ import annotations
@@ -50,21 +53,6 @@ class Request:
 
 
 @dataclass(slots=True)
-class AllocatorOptions:
-    """Testing hooks that disable individual algorithm steps.
-
-    Used by the verification harness to prove the test suite notices the
-    subtle steps; production callers keep the defaults.
-    """
-
-    skip_delete_swap: bool = False
-    skip_insert_rename: bool = False
-
-
-_DEFAULTS = AllocatorOptions()
-
-
-@dataclass(slots=True)
 class MoveLog:
     """Everything one request did, in deterministic order.
 
@@ -97,14 +85,13 @@ class MoveLog:
         return f"DID{self.removed}"
 
 
-def insert(s: Situation, level: int, options: AllocatorOptions | None = None) -> MoveLog:
+def insert(s: Situation, level: int) -> MoveLog:
     """Insert a pebble of ``level`` into a valid situation.
 
     The new pebble lands on the first free place of its size; if that
     breaks an invariant, at most three existing pebbles are reassigned to
     repair it.
     """
-    options = options or _DEFAULTS
     if not 0 <= level <= s.n:
         raise RequestError(f"level {level} out of [0, {s.n}]")
     a = 1 << level
@@ -148,7 +135,7 @@ def insert(s: Situation, level: int, options: AllocatorOptions | None = None) ->
 
     # c > a: shuffle around the closing position
     s.remove_pebble(b.id)
-    renamed = a < b.size and not options.skip_insert_rename
+    renamed = a < b.size
     big_level = b.level if renamed else level
     small_level = level if renamed else b.level
     big = 1 << big_level
@@ -190,16 +177,13 @@ def insert(s: Situation, level: int, options: AllocatorOptions | None = None) ->
     return log
 
 
-def delete_last(
-    s: Situation, level: int, options: AllocatorOptions | None = None
-) -> MoveLog:
+def delete_last(s: Situation, level: int) -> MoveLog:
     """Remove the rightmost pebble of ``level`` and repair the situation.
 
     The gap is repeatedly filled with the rightmost smallest pebble found
     to its right; each iteration pushes the gap rightward until nothing
     remains to its right or the candidate no longer fits.
     """
-    options = options or _DEFAULTS
     if not 0 <= level <= s.n:
         raise RequestError(f"level {level} out of [0, {s.n}]")
     removed = s.remove_last(level)
@@ -231,11 +215,7 @@ def delete_last(
         first_seen.setdefault(mover.id, mover.place)
         log.iterations += 1
         q = s.pebble_before(gap)
-        if (
-            not options.skip_delete_swap
-            and q is not None
-            and not s.is_black(q.id)
-        ):
+        if q is not None and not s.is_black(q.id):
             w = s.pebble_before(q.start)
             if w is not None and w.level == x_level:
                 # swap the filler with the white pebble it would trap
@@ -256,16 +236,14 @@ def delete_last(
     return log
 
 
-def delete_by_id(
-    s: Situation, pid: int, options: AllocatorOptions | None = None
-) -> MoveLog:
+def delete_by_id(s: Situation, pid: int) -> MoveLog:
     """Delete a specific pebble via the delete-at-level reduction.
 
     The rightmost pebble of the same level is physically removed; if that
     was a different pebble, its code is handed over to the requested one,
     so the requested identity disappears without an extra reassignment.
     """
-    return hand_over(s, pid, delete_last(s, s.pebble(pid).level, options))
+    return hand_over(s, pid, delete_last(s, s.pebble(pid).level))
 
 
 def hand_over(s: Situation, pid: int, log: MoveLog) -> MoveLog:
@@ -299,11 +277,11 @@ def check_request(request: Request) -> None:
         raise RequestError(f"{name} request without {needed}")
 
 
-def apply(s: Situation, request: Request, options: AllocatorOptions | None = None) -> MoveLog:
+def apply(s: Situation, request: Request) -> MoveLog:
     """Dispatch one request."""
     check_request(request)
     if request.kind == INSERT:
-        return insert(s, request.level, options)
+        return insert(s, request.level)
     if request.kind == DELETE_LEVEL:
-        return delete_last(s, request.level, options)
-    return delete_by_id(s, request.id, options)
+        return delete_last(s, request.level)
+    return delete_by_id(s, request.id)

@@ -14,10 +14,9 @@ import argparse
 import json
 import sys
 
-from .allocator import AllocatorOptions
 from .coins import DEFAULT_BUDGET
 from .model import RequestError, SnapshotError, parse_snapshot
-from .oracle import exhaustive_verify
+from .oracle import MUTANTS, exhaustive_verify
 from .render import check_height, render
 from .replay import ReplayError, replay
 from .workloads import (
@@ -28,12 +27,6 @@ from .workloads import (
     parse_trace,
     serialize_trace,
 )
-
-_MUTATIONS = {
-    "skip-delete-swap": AllocatorOptions(skip_delete_swap=True),
-    "skip-insert-rename": AllocatorOptions(skip_insert_rename=True),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -82,9 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--depth", type=int, default=6)
     p_ver.add_argument(
         "--mutate",
-        choices=sorted(_MUTATIONS),
+        choices=sorted(MUTANTS),
         default=None,
-        help="disable one algorithm step (the verifier must then fail)",
+        help="verify a named mutant, one line of allocator.py replaced (the verifier must then fail)",
     )
     p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="K")
     p_ver.add_argument("--format", choices=["text", "jsonl"], default="text")
@@ -119,15 +112,18 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.allocator == "baseline":  # the coin flags set the paper allocator's certificate
-        coin_flags = {
-            "--no-audit": args.no_audit,
-            "--audit-every": args.audit_every is not None,
-            "--budget": args.budget is not None,
-        }
-        for flag, given in coin_flags.items():
-            if given:
-                return _usage_error(f"{flag} needs the paper allocator: the baseline has no coin certificate")
+    # the coin flags set the paper allocator's certificate; --audit-every
+    # and --budget set the ledger that --no-audit turns off
+    coin_flags = {
+        "--no-audit": args.no_audit,
+        "--audit-every": args.audit_every is not None,
+        "--budget": args.budget is not None,
+    }
+    for flag, given in coin_flags.items():
+        if given and args.allocator == "baseline":
+            return _usage_error(f"{flag} needs the paper allocator: the baseline has no coin certificate")
+        if given and args.no_audit and flag != "--no-audit":
+            return _usage_error(f"{flag} needs the coin certificate, which --no-audit turns off")
     audit_every = 1 if args.audit_every is None else args.audit_every
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     if audit_every < 1:
@@ -165,14 +161,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    options = _MUTATIONS.get(args.mutate) if args.mutate else None
     if args.height < 0:
         return _usage_error(f"--height must be >= 0, got {args.height}")
     if args.depth < 0:
         return _usage_error(f"--depth must be >= 0, got {args.depth}")
     if args.budget < 0:
         return _usage_error(f"--budget must be >= 0, got {args.budget}")
-    report = exhaustive_verify(args.height, args.depth, options=options, budget=args.budget)
+    report = exhaustive_verify(args.height, args.depth, mutant=args.mutate, budget=args.budget)
     if args.format == "jsonl":
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -186,6 +181,8 @@ def _cmd_render(args) -> int:
             text = fh.read()
     except OSError as exc:
         return _usage_error(str(exc))
+    if args.step is not None and not args.trace:
+        return _usage_error("--step needs --trace: a snapshot has no requests")
     if args.trace:
         try:
             trace = parse_trace(text)
@@ -219,6 +216,8 @@ def _cmd_gen(args) -> int:
         return _usage_error(f"--height must be >= 0, got {args.height}")
     if args.requests < 0:
         return _usage_error(f"--requests must be >= 0, got {args.requests}")
+    if args.by_id and args.kind == "cascade":
+        return _usage_error("--by-id needs gen random: a cascade trace deletes by level")
     try:
         if args.kind == "random":
             trace = gen_random_trace(

@@ -25,6 +25,9 @@ every structural property of valid situations, oracle agreement and the
 independent recount of Φ) is checked on the state's first arrival
 alone.  At height >= 4 and depth >= 6, where every branch is reachable,
 a branch the walk never ran is a ``coverage`` failure.
+
+``MUTANTS`` names the mutants the walk must catch, each one line of
+``allocator.py`` replaced; ``mutant_apply`` builds the mutant's ``apply``.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import allocator
 from .allocator import (
     DELETE_LEVEL, EXIT_END, EXIT_NO_FIT, INSERT, PLACE_DIRECT, PLACE_OVER_SMALL, ROTATE_PAIR,
-    SHUFFLE_BLACK, SHUFFLE_WHITE, AllocatorOptions, Request, apply,
+    SHUFFLE_BLACK, SHUFFLE_WHITE, Request, apply,
 )
 from .coins import DEFAULT_BUDGET, CoinLedger
 from .model import AllocationError, InvariantError, Pebble, Place, RequestError, Situation
@@ -69,7 +73,6 @@ class _Scan(NamedTuple):
     first_free: list  # per level: ((level, start), free before, next), or None
     closing: list[int | None]  # per level: its last black end, else first bigger start, or None
     last: list  # per level: (its last pebble, least level right of it or None), or None
-    decreases: list[str]  # black size decreases found
     breaks: list[tuple[int, str]]  # (level, text) of each black contiguity break found
     trailing: list  # position ordered: failed trailing-gap checks and white pebbles' indexes
 
@@ -89,10 +92,9 @@ def _scan(s: Situation) -> _Scan:
     gaps: list[tuple[int, int, int, int]] = []
     closing: list[int | None] = [None] * levels
     last_index: dict[int, int] = {}  # level -> index of its last pebble, in the order of those
-    decreases: list[str] = []
     breaks: list[tuple[int, str]] = []
     trailing: list = []
-    biggest = top_black = -1  # largest level so far, of any pebble and of a black one
+    biggest = -1  # largest level so far
     black_level = black_start = -1  # the last black pebble so far
     covered = free = 0  # end of the covered prefix, free leaves before it
     # the previous pebble: a zero size and black, so that nothing is
@@ -103,7 +105,7 @@ def _scan(s: Situation) -> _Scan:
         level = pebble.level
         start = pebble.start
         size = 1 << level
-        black = biggest <= level
+        black = biggest <= level  # so the first pebble is black, and black sizes never decrease
         colors.append(black)
         gapped = start > prev_end
         if gapped and start - prev_end < prev_size:
@@ -111,10 +113,6 @@ def _scan(s: Situation) -> _Scan:
         if not prev_black:
             trailing.append(i - 1)
         if black:
-            if level < top_black:
-                decreases.append(f"black sizes decrease at {pebble.place}")
-            else:
-                top_black = level
             # a black pebble is as big as any before it, so the previous
             # black pebble is the last black one of ``level`` if any is
             if level == black_level and start != black_start + size:
@@ -165,7 +163,7 @@ def _scan(s: Situation) -> _Scan:
         last[level] = (pebs[last_index[level]], low)
         if low is None or level < low:
             low = level
-    return _Scan(pebs, colors, whites, gaps, first, closing, last, decreases, breaks, trailing)
+    return _Scan(pebs, colors, whites, gaps, first, closing, last, breaks, trailing)
 
 
 def _free_until(gaps: list[tuple[int, int, int, int]], pos: int) -> int:
@@ -216,12 +214,11 @@ def structural_failures(s: Situation) -> list[str]:
     readable descriptions of any failed property, and of any answer of the
     situation's indexed queries that disagrees with the scan.
     """
-    pebs, colors, whites, gaps, first_free, closing, last, decreases, breaks, trailing = _scan(s)
+    pebs, colors, whites, gaps, first_free, closing, last, breaks, trailing = _scan(s)
     leaves = s.leaves
     out: list[str] = []
     if pebs and pebs[0].start != 0:
         out.append(f"first pebble at {pebs[0].start}, not 0")
-    out += decreases
     top_white = -1
     for pebble in whites:
         if pebble.level <= top_white:
@@ -236,9 +233,6 @@ def structural_failures(s: Situation) -> list[str]:
             continue
         i = entry
         pebble = pebs[i]
-        if i == 0:
-            out.append(f"white pebble {pebble.place} with no left neighbor")
-            continue
         gap = (pebs[i + 1].start if i + 1 < len(pebs) else leaves) - pebble.end
         left = pebs[i - 1]
         if not colors[i - 1]:
@@ -398,10 +392,35 @@ def _admissible(s: Situation, inserts: list, deletes: list) -> list:
     ]
 
 
+# the verifier's mutants: name -> (a line of ``allocator.py``, the line
+# that replaces it); each disables one subtle step the checks must notice
+MUTANTS = {
+    "skip-delete-swap": ("if q is not None and not s.is_black(q.id):", "if False:"),
+    "skip-insert-rename": ("renamed = a < b.size", "renamed = False"),
+}
+
+
+def mutant_apply(name: str):
+    """``apply`` of ``allocator.py`` with the line ``MUTANTS[name]`` names
+    replaced; ``ValueError`` unless that line occurs exactly once."""
+    line, replacement = MUTANTS[name]
+    path = allocator.__file__
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    hits = [i for i, text in enumerate(lines) if text.strip() == line]
+    if len(hits) != 1:
+        raise ValueError(f"mutant {name!r}: {len(hits)} lines of allocator.py read {line!r}, not 1")
+    lines[hits[0]] = lines[hits[0]].replace(line, replacement)
+    # ``@dataclass`` looks the module up in ``sys.modules`` by this name
+    namespace = {"__name__": allocator.__name__, "__package__": allocator.__package__}
+    exec(compile("".join(lines), path, "exec"), namespace)
+    return namespace["apply"]
+
+
 def exhaustive_verify(
     n: int,
     depth: int,
-    options: AllocatorOptions | None = None,
+    mutant: str | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> VerifyReport:
     """BFS over all admissible request sequences of at most ``depth``
@@ -419,7 +438,9 @@ def exhaustive_verify(
     sequence leading to it.  Full branch coverage is required exactly
     when the bounds reach every branch (height >= 4 and depth >= 6), and
     a miss is a ``coverage`` failure; smaller instances pass without the
-    deep branches.
+    deep branches.  A ``mutant`` names an entry of ``MUTANTS``: the walk
+    then runs that edit of the allocator (:func:`mutant_apply`) in place
+    of ``apply``.
     """
     if n < 0:
         raise ValueError(f"height must be >= 0, got {n}")
@@ -427,6 +448,7 @@ def exhaustive_verify(
         raise ValueError(f"depth must be >= 0, got {depth}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
+    step = apply if mutant is None else mutant_apply(mutant)
     t0 = time.perf_counter()
     report = VerifyReport(n=n, depth=depth)
     root = ()
@@ -463,7 +485,7 @@ def exhaustive_verify(
                 s = base_s.copy()
                 ledger = base_ledger.copy()
                 try:
-                    log = apply(s, request, options)
+                    log = step(s, request)
                 except Exception as exc:  # a broken allocator fails the walk, not ``verify``
                     fail(key, token, "exception", f"{type(exc).__name__}: {exc}")
                     break

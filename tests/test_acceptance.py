@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from ovsfalloc.allocator import AllocatorOptions
 from ovsfalloc.oracle import exhaustive_verify
 from ovsfalloc.render import render
 from ovsfalloc.replay import replay
@@ -131,8 +130,8 @@ def test_determinism():
 
 
 def test_mutation_sensitivity():
-    swap = exhaustive_verify(4, 6, options=AllocatorOptions(skip_delete_swap=True))
-    rename = exhaustive_verify(4, 6, options=AllocatorOptions(skip_insert_rename=True))
+    swap = exhaustive_verify(4, 6, mutant="skip-delete-swap")
+    rename = exhaustive_verify(4, 6, mutant="skip-insert-rename")
     _report(
         "mutation-sensitivity",
         (not swap.ok) and (not rename.ok),

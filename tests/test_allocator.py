@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovsfalloc.allocator import (
-    AllocatorOptions,
+    DELETE_LEVEL,
     Request,
     apply,
     delete_by_id,
@@ -15,6 +15,7 @@ from ovsfalloc.model import (
     RequestError,
     Situation,
 )
+from ovsfalloc.oracle import mutant_apply
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace
 
@@ -148,7 +149,7 @@ def test_delete_swap_protects_trapped_white():
 
 def test_delete_swap_skipped_breaks_p3():
     s = build(4, [(2, 0), (1, 2), (4, 4), (2, 8)])
-    delete_last(s, 2, AllocatorOptions(skip_delete_swap=True))
+    mutant_apply("skip-delete-swap")(s, Request(DELETE_LEVEL, level=2))
     assert any(v.kind == "P3" for v in s.validate())
 
 

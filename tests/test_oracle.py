@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovsfalloc import allocator, oracle
-from ovsfalloc.allocator import AllocatorOptions, apply
+from ovsfalloc.allocator import apply
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
 from ovsfalloc.model import Pebble, Place, RequestError, Situation
@@ -135,11 +135,29 @@ def test_certificate_constant_on_every_edge():
 
 
 def test_mutations_detected():
-    r = exhaustive_verify(4, 6, options=AllocatorOptions(skip_delete_swap=True))
+    r = exhaustive_verify(4, 6, mutant="skip-delete-swap")
     assert not r.ok
     assert any(f.stage in ("validate", "structure") for f in r.failures)
-    r = exhaustive_verify(4, 6, options=AllocatorOptions(skip_insert_rename=True))
+    r = exhaustive_verify(4, 6, mutant="skip-insert-rename")
     assert not r.ok
+
+
+def test_each_mutant_line_occurs_once_in_the_allocator():
+    with open(allocator.__file__, encoding="utf-8") as fh:
+        lines = [text.strip() for text in fh]
+    for name, (line, _) in oracle.MUTANTS.items():
+        assert lines.count(line) == 1, name
+        assert oracle.mutant_apply(name) is not allocator.apply
+
+
+@pytest.mark.parametrize("line", ["no such line", "s.remove_pebble(b.id)"])
+def test_mutant_line_not_found_once_names_the_mutant(monkeypatch, line):
+    # a line that matches nothing, and one that matches twice
+    monkeypatch.setitem(oracle.MUTANTS, "stale", (line, "pass"))
+    with pytest.raises(ValueError, match="mutant 'stale'"):
+        oracle.mutant_apply("stale")
+    with pytest.raises(ValueError, match="mutant 'stale'"):
+        exhaustive_verify(2, 1, mutant="stale")
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,8 +199,8 @@ def test_small_closures_are_pinned(monkeypatch, n, depth, states, edges):
     reached = set()
     real_apply = oracle.apply
 
-    def apply_(s, request, options=None):
-        log = real_apply(s, request, options)
+    def apply_(s, request):
+        log = real_apply(s, request)
         reached.add(s.to_pairs())
         return log
 
@@ -225,7 +243,7 @@ def test_unhit_branch_fails_where_coverage_is_required(monkeypatch):
 
 
 def test_any_exception_from_apply_fails_the_walk(monkeypatch, capsys):
-    def broken(s, level, options=None):
+    def broken(s, level):
         raise TypeError("planted")
 
     monkeypatch.setattr(allocator, "insert", broken)
@@ -269,8 +287,8 @@ def test_each_state_checked_once(monkeypatch, n, depth):
     real_validate = Situation.validate
     real_cross_check = Situation.cross_check
 
-    def apply_(s, request, options=None):
-        log = real_apply(s, request, options)
+    def apply_(s, request):
+        log = real_apply(s, request)
         reached.add(s.to_pairs())
         return log
 
@@ -344,9 +362,9 @@ def test_index_guard_fires_on_every_arrival(monkeypatch, corrupt, detail, repeat
     corrupted = []
     real_apply = oracle.apply
 
-    def apply_(s, request, options=None):
+    def apply_(s, request):
         before = s.to_pairs()
-        log = real_apply(s, request, options)
+        log = real_apply(s, request)
         key = s.to_pairs()
         if (
             (key in reached) == repeat

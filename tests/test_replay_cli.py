@@ -368,6 +368,16 @@ def test_cli_run_baseline_rejects_coin_flags(tmp_path, capsys, flags):
     assert main(["run", path, *flags]) == 0  # the paper allocator takes each
 
 
+@pytest.mark.parametrize("flags", [["--audit-every", "5"], ["--budget", "2"]])
+def test_cli_run_no_audit_rejects_ledger_flags(tmp_path, capsys, flags):
+    # without a ledger there is nothing to audit and no budget to report
+    path = _write(tmp_path, "t.trace", "n=2\nI 0\nI 1\n")
+    assert main(["run", path, "--no-audit", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags[0]} needs the coin certificate, which --no-audit turns off\n"
+
+
 def test_cli_run_input_errors(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.trace")]) == 2
     bad = _write(tmp_path, "bad.trace", "n=2\nD 0\n")
@@ -545,6 +555,25 @@ def test_cli_render_trace_step(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "[B][B].."
     assert main(["render", path, "--trace"]) == 0
     assert capsys.readouterr().out.strip() == "[B]..."
+
+
+def test_cli_render_snapshot_rejects_step(tmp_path, capsys):
+    path = _write(tmp_path, "s.snap", "n=3\n4@0\n1@4\n")
+    assert main(["render", path, "--step", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --step needs --trace: a snapshot has no requests\n"
+
+
+def test_cli_gen_cascade_rejects_by_id(tmp_path, capsys):
+    out = tmp_path / "c.trace"
+    argv = ["gen", "cascade", "--height", "4", "--requests", "5", "--out", str(out), "--by-id"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: --by-id needs gen random: a cascade trace deletes by level\n"
+    argv[1] = "random"
+    assert main(argv) == 0 and out.exists()  # gen random takes it
 
 
 def test_cli_gen_roundtrip(tmp_path, capsys):

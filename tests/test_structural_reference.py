@@ -308,8 +308,8 @@ def _walk_states(monkeypatch, n: int, depth: int) -> list[Situation]:
     states: dict = {}
     real_apply = oracle.apply
 
-    def apply_(s, request, options=None):
-        log = real_apply(s, request, options)
+    def apply_(s, request):
+        log = real_apply(s, request)
         states.setdefault(s.to_pairs(), s.copy())
         return log
 
