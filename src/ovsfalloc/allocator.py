@@ -7,9 +7,10 @@ number of compaction iterations a deletion performed.
 
 Admissibility errors (bad level, insufficient bandwidth, missing pebble)
 are raised before anything is mutated, so a rejected request leaves the
-situation bit-identical.  Both procedures assume the input situation is
-valid; replaying through :mod:`ovsfalloc.replay` re-validates after every
-request unless explicitly disabled.
+situation bit-identical; ``admit_insert`` and ``take_last`` hold these
+rules, for the sorted baseline too.  Both procedures assume the input
+situation is valid; replaying through :mod:`ovsfalloc.replay`
+re-validates after every request unless explicitly disabled.
 
 The procedures carry no test switches: the verifier's mutants are edits
 of this source, each named in :data:`ovsfalloc.oracle.MUTANTS`.
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 from .model import (
     BandwidthError,
     InvariantError,
+    Pebble,
     Place,
     RequestError,
     Situation,
@@ -92,13 +94,7 @@ def insert(s: Situation, level: int) -> MoveLog:
     breaks an invariant, at most three existing pebbles are reassigned to
     repair it.
     """
-    if not 0 <= level <= s.n:
-        raise RequestError(f"level {level} out of [0, {s.n}]")
-    a = 1 << level
-    if a > s.total_free_bandwidth():
-        raise BandwidthError(
-            f"size {a} exceeds free bandwidth {s.total_free_bandwidth()}"
-        )
+    a = admit_insert(s, level)
     site = s.insert_site(level)
     if site is None:
         raise InvariantError(
@@ -184,12 +180,7 @@ def delete_last(s: Situation, level: int) -> MoveLog:
     to its right; each iteration pushes the gap rightward until nothing
     remains to its right or the candidate no longer fits.
     """
-    if not 0 <= level <= s.n:
-        raise RequestError(f"level {level} out of [0, {s.n}]")
-    removed = s.remove_last(level)
-    if removed is None:
-        raise RequestError(f"no pebble of level {level}")
-    victim, x_level = removed
+    victim, x_level = take_last(s, level)
     log = MoveLog(DELETE_LEVEL, level=level)
     log.removed = victim.id
     gap = victim.start
@@ -244,6 +235,30 @@ def delete_by_id(s: Situation, pid: int) -> MoveLog:
     so the requested identity disappears without an extra reassignment.
     """
     return hand_over(s, pid, delete_last(s, s.pebble(pid).level))
+
+
+def _check_level(s: Situation, level: int) -> None:
+    if not 0 <= level <= s.n:
+        raise RequestError(f"level {level} out of [0, {s.n}]")
+
+
+def admit_insert(s: Situation, level: int) -> int:
+    """The size of an insert at ``level``, checked to fit the free bandwidth."""
+    _check_level(s, level)
+    size, free = 1 << level, s.total_free_bandwidth()
+    if size > free:
+        raise BandwidthError(f"size {size} exceeds free bandwidth {free}")
+    return size
+
+
+def take_last(s: Situation, level: int) -> tuple[Pebble, int | None]:
+    """``s.remove_last(level)``, checked: the level's last pebble, removed,
+    and the least level right of it or None."""
+    _check_level(s, level)
+    removed = s.remove_last(level)
+    if removed is None:
+        raise RequestError(f"no pebble of level {level}")
+    return removed
 
 
 def hand_over(s: Situation, pid: int, log: MoveLog) -> MoveLog:

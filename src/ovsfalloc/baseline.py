@@ -28,18 +28,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import itemgetter
 
-from .allocator import DELETE_LEVEL, INSERT, MoveLog, hand_over
-from .model import BandwidthError, InvariantError, Place, RequestError, Situation
+from .allocator import DELETE_LEVEL, INSERT, MoveLog, admit_insert, hand_over, take_last
+from .model import InvariantError, Place, Situation
 
 _LEVEL = itemgetter(1)
 
 
 def baseline_insert(s: Situation, level: int) -> MoveLog:
-    if not 0 <= level <= s.n:
-        raise RequestError(f"level {level} out of [0, {s.n}]")
-    size = 1 << level
-    if size > s.total_free_bandwidth():
-        raise BandwidthError(f"size {size} exceeds free bandwidth {s.total_free_bandwidth()}")
+    size = admit_insert(s, level)
     runs = s.segments()
     i = bisect_right(runs, level, key=_LEVEL)  # runs[:i] hold the levels <= level
     start, lv, count = runs[i - 1] if i else (0, 0, 0)
@@ -66,12 +62,7 @@ def baseline_insert(s: Situation, level: int) -> MoveLog:
 
 
 def baseline_delete(s: Situation, level: int) -> MoveLog:
-    if not 0 <= level <= s.n:
-        raise RequestError(f"level {level} out of [0, {s.n}]")
-    removed = s.remove_last(level)
-    if removed is None:
-        raise RequestError(f"no pebble of level {level}")
-    victim = removed[0]
+    victim = take_last(s, level)[0]
     log = MoveLog(DELETE_LEVEL, level=level, removed=victim.id, branch="baseline-delete")
     end = 0  # end of the runs passed so far, after their shifts
     for start, lv, count in s.segments():

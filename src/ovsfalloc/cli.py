@@ -99,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("kind", choices=["random", "cascade"])
     p_gen.add_argument("--height", type=int, required=True)
     p_gen.add_argument("--requests", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--insert-ratio", type=float, default=0.6)
+    p_gen.add_argument("--seed", type=int, default=None, help="gen random only (default 0)")
+    p_gen.add_argument("--insert-ratio", type=float, default=None, help="gen random only (default 0.6)")
     p_gen.add_argument("--by-id", action="store_true")
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
     return parser
@@ -216,17 +216,17 @@ def _cmd_gen(args) -> int:
         return _usage_error(f"--height must be >= 0, got {args.height}")
     if args.requests < 0:
         return _usage_error(f"--requests must be >= 0, got {args.requests}")
-    if args.by_id and args.kind == "cascade":
-        return _usage_error("--by-id needs gen random: a cascade trace deletes by level")
+    if args.kind == "cascade":
+        if args.by_id:
+            return _usage_error("--by-id needs gen random: a cascade trace deletes by level")
+        for flag, value in (("--seed", args.seed), ("--insert-ratio", args.insert_ratio)):
+            if value is not None:
+                return _usage_error(f"{flag} needs gen random: a cascade trace is fixed")
     try:
         if args.kind == "random":
-            trace = gen_random_trace(
-                args.height,
-                args.requests,
-                args.seed,
-                args.insert_ratio,
-                by_id=args.by_id,
-            )
+            seed = 0 if args.seed is None else args.seed
+            ratio = 0.6 if args.insert_ratio is None else args.insert_ratio
+            trace = gen_random_trace(args.height, args.requests, seed, ratio, by_id=args.by_id)
         else:
             trace = gen_cascade_trace(args.height, args.requests)
     except ValueError as exc:

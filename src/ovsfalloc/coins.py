@@ -28,8 +28,9 @@ over the segments that ``validate`` makes, shared when both run on one
 state), so every audit also cross-checks the closed form.
 
 A charge above the per-request budget is returned as a finding in the
-request's :class:`SettleInfo`, not silently absorbed.  The certificate is
-an auditor only: the allocator never consults it.
+request's :class:`SettleInfo`, not silently absorbed; the coins it
+consumes are its ``MoveLog.iterations``.  The certificate is an auditor
+only: the allocator never consults it.
 """
 
 from __future__ import annotations
@@ -105,11 +106,9 @@ def potential(s: Situation) -> int:
 
 @dataclass(slots=True)
 class SettleInfo:
-    """Per-request accounting summary."""
+    """One request's charge: its fresh coins, and any finding on them."""
 
     injected: int = 0
-    consumed: int = 0
-    discarded: int = 0
     findings: list[str] = field(default_factory=list)
 
 
@@ -152,15 +151,13 @@ class CoinLedger:
         fresh coins; a negative difference is discarded."""
         after = potential(s_after)
         net = log.iterations + after - self._balance
-        info = SettleInfo(
-            injected=max(0, net), consumed=log.iterations, discarded=max(0, -net)
-        )
+        info = SettleInfo(injected=max(0, net))
         if info.injected > self.budget:
             info.findings.append(f"injected {info.injected} coins exceeds budget {self.budget}")
         self._balance = after
         self.injected_total += info.injected
-        self.consumed_total += info.consumed
-        self.discarded_total += info.discarded
+        self.consumed_total += log.iterations
+        self.discarded_total += info.injected - net
         return info
 
     # ------------------------------------------------------------------

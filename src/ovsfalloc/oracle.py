@@ -328,7 +328,6 @@ class VerifyFailure:
 class VerifyReport:
     n: int
     depth: int
-    ok: bool = True
     states: int = 0
     transitions: int = 0
     max_insert_moves: int = 0
@@ -337,6 +336,10 @@ class VerifyReport:
     failures: list[VerifyFailure] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     seconds: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
     def missing_coverage(self) -> list[str]:
         return [k for k in COVERAGE_TARGETS if not self.coverage.get(k)]
@@ -403,6 +406,8 @@ MUTANTS = {
 def mutant_apply(name: str):
     """``apply`` of ``allocator.py`` with the line ``MUTANTS[name]`` names
     replaced; ``ValueError`` unless that line occurs exactly once."""
+    if name not in MUTANTS:
+        raise ValueError(f"unknown mutant {name!r}, not one of {', '.join(sorted(MUTANTS))}")
     line, replacement = MUTANTS[name]
     path = allocator.__file__
     with open(path, encoding="utf-8") as fh:
@@ -435,12 +440,13 @@ def exhaustive_verify(
     reaches a state, the first edge back to the empty root included.  A
     negative ``budget`` raises ``ValueError``, as a negative height or
     depth does.  Stops at the first failure and reports the request
-    sequence leading to it.  Full branch coverage is required exactly
-    when the bounds reach every branch (height >= 4 and depth >= 6), and
-    a miss is a ``coverage`` failure; smaller instances pass without the
-    deep branches.  A ``mutant`` names an entry of ``MUTANTS``: the walk
+    sequence leading to it; stops early once a level adds no state (the
+    report's ``depth`` stays the bound asked for).  Full branch coverage
+    is required exactly when the bounds reach every branch (height >= 4
+    and depth >= 6), and a miss is a ``coverage`` failure; smaller
+    instances pass without the deep branches.  A ``mutant`` names an entry of ``MUTANTS``: the walk
     then runs that edit of the allocator (:func:`mutant_apply`) in place
-    of ``apply``.
+    of ``apply``; an unknown name raises ``ValueError``.
     """
     if n < 0:
         raise ValueError(f"height must be >= 0, got {n}")
@@ -468,17 +474,16 @@ def exhaustive_verify(
         return tuple(reversed(toks))
 
     def fail(key, token, stage, detail) -> None:
-        report.ok = False
         report.failures.append(VerifyFailure(trace_of(key, token), stage, detail))
 
     transitions = max_insert_moves = max_injected = 0
     coverage: dict[str, int] = {}
     for _ in range(depth):
-        if not report.ok:
+        if report.failures or not frontier:  # an empty frontier reaches nothing deeper
             break
         nxt = []
         for key in frontier:
-            if not report.ok:
+            if report.failures:
                 break
             base_s, base_ledger = _rebuild(n, key, budget)
             for request, token in _admissible(base_s, inserts, deletes):
@@ -544,8 +549,7 @@ def exhaustive_verify(
     report.max_injected = max_injected
     report.coverage = coverage
     missing = report.missing_coverage()
-    if report.ok and n >= 4 and depth >= 6 and missing:
-        report.ok = False
+    if not report.failures and n >= 4 and depth >= 6 and missing:
         report.failures.append(VerifyFailure((), "coverage", f"unhit branches: {missing}"))
     report.seconds = time.perf_counter() - t0
     return report

@@ -9,11 +9,11 @@ every pebble copy in it is cross-checked against the segment list.  Any
 failure, a typed error raised by a checked read included, ends the replay
 with a ``ReplayError`` naming the request; a failed audit carries its P4
 detail.  Statistics and log lines (none unless a ``log_format`` is
-given) read each request's charge from the ``SettleInfo`` that settling
-it returned; the totals are locals that fill ``RunStats`` once, after the
-last request, since a failed request raises.  This module alone formats
-the request log: it computes each request's fields once and renders them
-as text or as jsonl.
+given) read each request's fresh coins from its ``SettleInfo`` and its
+consumed coins, its iterations, from its ``MoveLog``; the totals are
+locals that fill ``RunStats`` once, after the last request, since a
+failed request raises.  This module alone formats the request log: it
+computes each request's fields once and renders them as text or jsonl.
 """
 
 from __future__ import annotations
@@ -128,12 +128,14 @@ def replay(
     lines: list[str] = []
     info = None  # the request's charge, with a ledger
     moves = max_moves = max_insert_moves = iterations = relabels = 0
-    injected = consumed = max_injected = findings = 0
+    injected = max_injected = findings = 0
+    # bound per call, not at import, so that a wrapper installed on ``apply`` runs
+    step = apply if allocator == PAPER else _baseline_apply
 
     last = len(trace.requests)
     for index, request in enumerate(trace.requests, start=1):
         try:
-            log = _dispatch(s, request, allocator)
+            log = step(s, request)
             if validate_each:
                 violations = s.validate()
                 if violations:
@@ -156,7 +158,6 @@ def replay(
             relabels += 1
         if ledger is not None:
             injected += info.injected
-            consumed += info.consumed
             max_injected = info.injected if info.injected > max_injected else max_injected
             findings += len(info.findings)
         if log_format is not None:
@@ -175,7 +176,7 @@ def replay(
     stats = RunStats(
         m=last, total_moves=moves, max_moves=max_moves, max_insert_moves=max_insert_moves,
         total_delete_iterations=iterations, relabels=relabels, max_injected=max_injected,
-        total_injected=injected, total_consumed=consumed, budget_findings=findings,
+        total_injected=injected, total_consumed=iterations if use_coins else 0, budget_findings=findings,
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
     )
     return ReplayResult(stats, s, ledger, lines)
@@ -197,7 +198,7 @@ def _log_lines(
     }
     coins = None
     if ledger is not None:
-        coins = {"injected": info.injected, "consumed": info.consumed,
+        coins = {"injected": info.injected, "consumed": log.iterations,
                  "balance": ledger.balance(), "p4": "ok"}
     if log_format == "jsonl":
         if coins is not None:
@@ -218,9 +219,8 @@ def _request_error(index: int, exc: AllocationError) -> ReplayError:
     return ReplayError(index, f"{type(exc).__name__}: {exc}")
 
 
-def _dispatch(s, request, allocator) -> MoveLog:
-    if allocator == PAPER:
-        return apply(s, request)
+def _baseline_apply(s: Situation, request) -> MoveLog:
+    """The baseline's ``apply``: one request, checked as ``apply`` checks it."""
     check_request(request)
     if request.kind == INSERT:
         return bl.baseline_insert(s, request.level)

@@ -24,10 +24,10 @@ from .allocator import DELETE_ID, DELETE_LEVEL, INSERT, Request
 
 class TraceError(Exception):
     def __init__(self, message: str, line: int | None = None, index: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
         if index is not None:
             message = f"request {index}: {message}"
+        if line is not None:
+            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
         self.index = index
@@ -56,50 +56,41 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_admissible(trace: Trace) -> None:
-    """Raise :class:`TraceError` on the first inadmissible prefix."""
+def check_admissible(trace: Trace, lines: list[int]) -> None:
+    """Raise :class:`TraceError` on the first inadmissible prefix of a parsed
+    trace, citing the request's index and its file line, ``lines[index - 1]``."""
     free = 1 << trace.n
     counts = [0] * (trace.n + 1)
-    id_level: dict[int, int] = {}
+    id_level: list[int] = []  # the level of each issued id, id k at k - 1
     dead: set[int] = set()
-    issued = 0
     mixed = any(r.kind == DELETE_LEVEL for r in trace.requests)
-    for index, request in enumerate(trace.requests, start=1):
+    for index, (request, line) in enumerate(zip(trace.requests, lines), start=1):
         if request.kind == INSERT:
             level = request.level
-            if level is None or not 0 <= level <= trace.n:
-                raise TraceError(f"bad insert level {level}", index=index)
+            if not 0 <= level <= trace.n:
+                raise TraceError(f"bad insert level {level}", line, index)
             if (1 << level) > free:
-                raise TraceError(
-                    f"insert of size {1 << level} exceeds free bandwidth {free}",
-                    index=index,
-                )
+                raise TraceError(f"insert of size {1 << level} exceeds free bandwidth {free}", line, index)
             free -= 1 << level
             counts[level] += 1
-            issued += 1
-            id_level[issued] = level
-        elif request.kind == DELETE_LEVEL:
+            id_level.append(level)
+            continue
+        if request.kind == DELETE_LEVEL:
             level = request.level
-            if level is None or not 0 <= level <= trace.n:
-                raise TraceError(f"bad delete level {level}", index=index)
-            if counts[level] == 0:
-                raise TraceError(f"deletion of empty level {level}", index=index)
-            counts[level] -= 1
-            free += 1 << level
-        elif request.kind == DELETE_ID:
-            pid = request.id
-            if pid is None or not 1 <= pid <= issued:
-                raise TraceError(f"deletion of unissued id {pid}", index=index)
-            if not mixed and pid in dead:
-                raise TraceError(f"deletion of already deleted id {pid}", index=index)
-            level = id_level[pid]
-            if counts[level] == 0:
-                raise TraceError(f"deletion of empty level {level}", index=index)
-            dead.add(pid)
-            counts[level] -= 1
-            free += 1 << level
+            if not 0 <= level <= trace.n:
+                raise TraceError(f"bad delete level {level}", line, index)
         else:
-            raise TraceError(f"unknown request kind {request.kind!r}", index=index)
+            pid = request.id
+            if not 1 <= pid <= len(id_level):
+                raise TraceError(f"deletion of unissued id {pid}", line, index)
+            if not mixed and pid in dead:
+                raise TraceError(f"deletion of already deleted id {pid}", line, index)
+            dead.add(pid)
+            level = id_level[pid - 1]
+        if counts[level] == 0:
+            raise TraceError(f"deletion of empty level {level}", line, index)
+        counts[level] -= 1
+        free += 1 << level
 
 
 def parse_trace(text: str) -> Trace:
@@ -140,14 +131,7 @@ def parse_trace(text: str) -> Trace:
     if n is None:
         raise TraceError("empty trace: missing 'n=<height>' header", line=1)
     trace = Trace(n, requests)
-    try:
-        check_admissible(trace)
-    except TraceError as exc:
-        if exc.index is not None:
-            wrapped = TraceError(str(exc), line=request_lines[exc.index - 1])
-            wrapped.index = exc.index
-            raise wrapped from None
-        raise
+    check_admissible(trace, request_lines)
     return trace
 
 
@@ -164,6 +148,10 @@ def gen_random_trace(
     is short; when nothing fits the request flips to a delete (and the
     other way around), so any mix is always realizable.
     """
+    if n < 0:
+        raise ValueError(f"height n must be >= 0, got {n}")
+    if m < 0:
+        raise ValueError(f"request count m must be >= 0, got {m}")
     if not 0.0 < insert_ratio < 1.0:
         raise ValueError(f"insert_ratio must be in (0, 1), got {insert_ratio}")
     rng = random.Random(seed)
@@ -212,6 +200,8 @@ def gen_cascade_trace(n: int, m: int) -> Trace:
     """
     if n < 2:
         raise ValueError(f"cascade trace needs height >= 2, got {n}")
+    if m < 0:
+        raise ValueError(f"request count m must be >= 0, got {m}")
     setup = [Request(INSERT, level=0), Request(INSERT, level=0)]
     setup.extend(Request(INSERT, level=lv) for lv in range(1, n - 1))
     requests: list[Request] = setup[:m]

@@ -3,6 +3,7 @@ from dataclasses import fields
 import pytest
 
 from ovsfalloc.allocator import DELETE_ID, DELETE_LEVEL, INSERT, MoveLog, Request, hand_over
+from ovsfalloc.allocator import delete_last, insert
 from ovsfalloc.baseline import baseline_delete, baseline_delete_by_id, baseline_insert
 from ovsfalloc.model import BandwidthError, InvariantError, Place, RequestError, Situation
 from ovsfalloc.replay import ReplayError, replay
@@ -283,3 +284,20 @@ def test_one_pass_baseline_matches_per_level_reference():
             requests += 1
     assert requests > 8000
 
+
+@pytest.mark.parametrize(
+    "insert_, pebs, level, error, message",
+    [
+        (True, [], 3, RequestError, "level 3 out of [0, 2]"),
+        (True, [(4, 0)], 0, BandwidthError, "size 1 exceeds free bandwidth 0"),
+        (False, [(2, 0)], 0, RequestError, "no pebble of level 0"),
+    ],
+)
+def test_admission_errors_are_one_rule_on_both_allocators(insert_, pebs, level, error, message):
+    paper_fn, baseline_fn = (insert, baseline_insert) if insert_ else (delete_last, baseline_delete)
+    for fn in (paper_fn, baseline_fn):
+        s = build(2, pebs)
+        with pytest.raises(error) as info:
+            fn(s, level)
+        assert str(info.value) == message
+        assert s.to_pairs() == build(2, pebs).to_pairs()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from ovsfalloc.coins import (
     required_coins,
     run_potential,
 )
+from ovsfalloc.coins import SettleInfo
 from ovsfalloc.model import Place, Situation
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace, parse_trace
@@ -162,7 +164,7 @@ def test_settle_delete_no_iteration_funds_new_gap():
     log = delete_last(s, 0)
     info = ledger.settle(s, log)
     assert log.iterations == 0
-    assert info.consumed == 0 and info.injected == 1
+    assert ledger.consumed_total == 0 and info.injected == 1
     assert ledger.balance() == 1
     assert ledger.audit(s) == []
 
@@ -172,7 +174,7 @@ def test_settle_delete_consumes_one_coin_per_iteration():
     ledger = CoinLedger(s)
     log = delete_last(s, 0)
     info = ledger.settle(s, log)
-    assert log.iterations == 1 and info.consumed == 1
+    assert log.iterations == 1 and ledger.consumed_total == 1
     assert ledger.audit(s) == []
     ledger.balance_check()
 
@@ -182,7 +184,7 @@ def test_settle_delete_of_only_pebble_is_free():
     ledger = CoinLedger(s)
     log = delete_last(s, 2)
     info = ledger.settle(s, log)
-    assert info.injected == 0 and info.consumed == 0
+    assert info.injected == 0 and ledger.consumed_total == 0
     assert ledger.audit(s) == []
 
 
@@ -233,3 +235,23 @@ def test_injection_bounded_by_default_budget(seed):
     res = replay(trace, validate_each=False, audit=True)
     assert res.stats.max_injected <= 4
     assert res.stats.budget_findings == 0
+
+
+def test_settle_info_holds_the_charge_alone():
+    # the coins a request consumes are its iterations, kept on the MoveLog
+    assert [f.name for f in fields(SettleInfo)] == ["injected", "findings"]
+
+
+def test_consumed_coins_are_the_delete_iterations():
+    trace = gen_random_trace(6, 400, seed=5, insert_ratio=0.55, by_id=True)
+    res = replay(trace)
+    led = res.ledger
+    assert res.stats.total_delete_iterations > 0
+    assert led.consumed_total == res.stats.total_delete_iterations == res.stats.total_consumed
+    assert (
+        led.seeded_total + led.injected_total - led.consumed_total - led.discarded_total
+        == led.balance()
+    )
+    # with no ledger nothing is consumed, whatever the deletes iterated
+    bare = replay(trace, audit=False).stats
+    assert bare.total_delete_iterations > 0 and bare.total_consumed == 0

@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import sys
+import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -630,3 +632,28 @@ def test_structural_checks_on_a_tall_tree():
             if i % 10 == 0:
                 for level in range(s.n + 1):
                     assert scan_first_free_place(s, level) == s.first_free_place(level)
+
+
+def test_report_ok_is_exactly_no_failures(monkeypatch):
+    mutant = exhaustive_verify(4, 6, mutant="skip-delete-swap")
+    assert mutant.failures and not mutant.ok
+    passing = exhaustive_verify(3, 4)
+    assert passing.failures == [] and passing.ok
+    monkeypatch.setattr(oracle, "COVERAGE_TARGETS", oracle.COVERAGE_TARGETS + ("never",))
+    coverage = exhaustive_verify(4, 6)
+    assert [f.stage for f in coverage.failures] == ["coverage"] and not coverage.ok
+    assert "ok" not in {f.name for f in fields(oracle.VerifyReport)}
+
+
+def test_walk_stops_when_no_state_is_left_to_expand():
+    # height 2 closes by depth 10: a huge bound returns the same walk, at once
+    t0 = time.perf_counter()
+    huge = exhaustive_verify(2, 10**9)
+    assert time.perf_counter() - t0 < 1.0
+    assert huge.to_dict() == exhaustive_verify(2, 10).to_dict()
+    assert huge.depth == 10**9
+
+
+def test_unknown_mutant_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown mutant 'bogus', not one of skip-delete-swap, skip-insert-rename"):
+        exhaustive_verify(3, 2, mutant="bogus")

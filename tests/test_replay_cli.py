@@ -584,3 +584,24 @@ def test_cli_gen_roundtrip(tmp_path, capsys):
     assert len(trace) == 25
     assert main(["gen", "cascade", "--height", "4", "--requests", "5"]) == 0
     assert capsys.readouterr().out.startswith("n=4\n")
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--insert-ratio", "0.3")])
+def test_cli_gen_cascade_rejects_random_only_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "c.trace"
+    argv = ["gen", "cascade", "--height", "4", "--requests", "5", "--out", str(out), flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {flag} needs gen random: a cascade trace is fixed\n"
+    argv[1] = "random"
+    assert main(argv) == 0 and out.exists()  # gen random takes it
+
+
+def test_cli_gen_random_defaults_match_explicit_flags(capsys):
+    argv = ["gen", "random", "--height", "5", "--requests", "40"]
+    assert main(argv) == 0
+    implicit = capsys.readouterr().out
+    assert main(argv + ["--seed", "0", "--insert-ratio", "0.6"]) == 0
+    assert capsys.readouterr().out == implicit
+    assert implicit == serialize_trace(gen_random_trace(5, 40, 0, 0.6))

@@ -113,3 +113,27 @@ def test_cascade_admissible_for_both_allocators():
     trace = gen_cascade_trace(6, 101)
     replay(trace, allocator="paper")
     replay(trace, allocator="baseline", audit=False)
+
+
+def test_inadmissible_trace_error_carries_line_and_index():
+    with pytest.raises(TraceError) as info:
+        parse_trace("n=2\nI 0\n# c\nI 0\nI 1\nI 1\n")
+    assert (info.value.line, info.value.index) == (6, 4)
+    with pytest.raises(TraceError) as info:
+        parse_trace("n=2\nX 1\n")
+    assert (info.value.line, info.value.index) == (2, None)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: gen_cascade_trace(5, -1), "request count m must be >= 0, got -1"),
+        (lambda: gen_cascade_trace(5, -3), "request count m must be >= 0, got -3"),
+        (lambda: gen_cascade_trace(-1, 5), "cascade trace needs height >= 2, got -1"),
+        (lambda: gen_random_trace(3, -5, 1, 0.5), "request count m must be >= 0, got -5"),
+        (lambda: gen_random_trace(-1, 5, 1, 0.5), "height n must be >= 0, got -1"),
+    ],
+)
+def test_generators_reject_negative_sizes(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
