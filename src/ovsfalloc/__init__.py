@@ -20,9 +20,7 @@ from .model import (
     Place,
     RequestError,
     Situation,
-    SnapshotError,
     Violation,
-    parse_snapshot,
 )
 from .oracle import canput_oracle, exhaustive_verify, structural_failures
 from .render import render
@@ -49,7 +47,6 @@ __all__ = [
     "RequestError",
     "RunStats",
     "Situation",
-    "SnapshotError",
     "Trace",
     "TraceError",
     "Violation",
@@ -64,7 +61,6 @@ __all__ = [
     "gen_cascade_trace",
     "gen_random_trace",
     "insert",
-    "parse_snapshot",
     "parse_trace",
     "render",
     "replay",

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``run`` replays a trace and prints statistics, ``verify``
-runs the exhaustive small-instance verifier, ``render`` draws a snapshot
-or a trace prefix, ``gen`` writes generated traces.
+runs the exhaustive small-instance verifier, ``render`` draws the state a
+trace prefix reaches, ``gen`` writes generated traces.  ``run`` and
+``render`` read their input file with one reader, ``_read_trace``.
 
 Exit codes: 0 all checks passed, 1 invariant/audit failure, 2 usage or
-input error.
+input error (an unreadable, non-UTF-8 or malformed input file included).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 
 from .coins import DEFAULT_BUDGET
-from .model import RequestError, SnapshotError, parse_snapshot
+from .model import MAX_TREE_HEIGHT, RequestError
 from .oracle import MUTANTS, exhaustive_verify
 from .render import check_height, render
 from .replay import ReplayError, replay
@@ -82,17 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--budget", type=int, default=DEFAULT_BUDGET, metavar="K")
     p_ver.add_argument("--format", choices=["text", "jsonl"], default="text")
 
-    p_ren = sub.add_parser("render", help="draw a snapshot or trace prefix")
-    p_ren.add_argument("path", help="snapshot file, or trace file with --trace")
-    p_ren.add_argument(
-        "--trace", action="store_true", help="treat the input as a trace"
-    )
+    p_ren = sub.add_parser("render", help="draw the state a trace prefix reaches")
+    p_ren.add_argument("trace", help="trace file path")
     p_ren.add_argument(
         "--step",
         type=int,
         default=None,
         metavar="K",
-        help="with --trace: render after the first K requests (default all)",
+        help="render after the first K requests (default all)",
     )
 
     p_gen = sub.add_parser("gen", help="generate a trace file")
@@ -109,6 +107,28 @@ def _build_parser() -> argparse.ArgumentParser:
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _height_error(height: int) -> str:
+    """Why a ``--height`` is refused, or ``""``."""
+    if height < 0:
+        return f"--height must be >= 0, got {height}"
+    if height > MAX_TREE_HEIGHT:
+        return f"--height must be <= {MAX_TREE_HEIGHT}, got {height}"
+    return ""
+
+
+def _read_trace(path: str) -> Trace | None:
+    """The trace in the file at ``path``, or None, with the reason printed,
+    when the file cannot be read, decoded or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_trace(fh.read())
+    except UnicodeDecodeError as exc:
+        _usage_error(f"{path}: {exc}")
+    except (OSError, TraceError) as exc:
+        _usage_error(str(exc))
+    return None
 
 
 def _cmd_run(args) -> int:
@@ -130,11 +150,9 @@ def _cmd_run(args) -> int:
         return _usage_error(f"--audit-every must be >= 1, got {audit_every}")
     if budget < 0:
         return _usage_error(f"--budget must be >= 0, got {budget}")
-    try:
-        with open(args.trace, encoding="utf-8") as fh:
-            trace = parse_trace(fh.read())
-    except (OSError, TraceError) as exc:
-        return _usage_error(str(exc))
+    trace = _read_trace(args.trace)
+    if trace is None:
+        return 2
     try:
         result = replay(
             trace,
@@ -161,8 +179,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.height < 0:
-        return _usage_error(f"--height must be >= 0, got {args.height}")
+    if message := _height_error(args.height):
+        return _usage_error(message)
     if args.depth < 0:
         return _usage_error(f"--depth must be >= 0, got {args.depth}")
     if args.budget < 0:
@@ -176,44 +194,28 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    trace = _read_trace(args.trace)
+    if trace is None:
+        return 2
     try:
-        with open(args.path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _usage_error(str(exc))
-    if args.step is not None and not args.trace:
-        return _usage_error("--step needs --trace: a snapshot has no requests")
-    if args.trace:
-        try:
-            trace = parse_trace(text)
-            check_height(trace.n)  # before any request is replayed
-        except (TraceError, RequestError) as exc:
-            return _usage_error(str(exc))
-        step = len(trace.requests) if args.step is None else args.step
-        if not 0 <= step <= len(trace.requests):
-            return _usage_error(f"--step {step} out of range")
-        prefix = Trace(trace.n, trace.requests[:step])
-        try:
-            result = replay(prefix)
-        except ReplayError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        situation = result.situation
-    else:
-        try:
-            situation = parse_snapshot(text)
-        except SnapshotError as exc:
-            return _usage_error(str(exc))
-    try:
-        print(render(situation))
+        check_height(trace.n)  # before any request is replayed
     except RequestError as exc:
         return _usage_error(str(exc))
+    step = len(trace.requests) if args.step is None else args.step
+    if not 0 <= step <= len(trace.requests):
+        return _usage_error(f"--step {step} out of range")
+    try:
+        result = replay(Trace(trace.n, trace.requests[:step]))
+    except ReplayError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(render(result.situation))
     return 0
 
 
 def _cmd_gen(args) -> int:
-    if args.height < 0:
-        return _usage_error(f"--height must be >= 0, got {args.height}")
+    if message := _height_error(args.height):
+        return _usage_error(message)
     if args.requests < 0:
         return _usage_error(f"--requests must be >= 0, got {args.requests}")
     if args.kind == "cascade":

@@ -58,6 +58,10 @@ from .layout import PebbleScan, Place, Violation, scan_runs
 BLACK = "black"
 WHITE = "white"
 
+# the tallest tree any entry point builds: the state is O(height), but a
+# per-level list of a height read from a file must not exhaust memory
+MAX_TREE_HEIGHT = 1024
+
 
 class AllocationError(Exception):
     """Base class for all allocator errors."""
@@ -73,10 +77,6 @@ class RequestError(AllocationError):
 
 class InvariantError(AllocationError):
     """An internal expectation failed; the input situation was not valid."""
-
-
-class SnapshotError(AllocationError):
-    """Snapshot text could not be parsed."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +163,8 @@ class Situation:
     """
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError(f"tree height must be >= 0, got {n}")
+        if not 0 <= n <= MAX_TREE_HEIGHT:
+            raise ValueError(f"tree height must be in [0, {MAX_TREE_HEIGHT}], got {n}")
         self.n = n
         self.leaves = 1 << n
         self._peb: dict[int, Pebble] = {}
@@ -623,44 +623,3 @@ class Situation:
         """All P1/P2/P3, alignment and overlap breaches, position ordered,
         as a fresh list; the walk behind it is kept until the next mutation."""
         return list(self.pebble_scan().violations)
-
-    # ------------------------------------------------------------------
-    # snapshot text format
-
-    def serialize(self) -> str:
-        return f"n={self.n}\n" + "".join(f"{p.size}@{p.start}\n" for p in self.pebbles())
-
-
-def parse_snapshot(text: str) -> Situation:
-    """Parse the ``n=<height>`` / ``<size>@<start>`` snapshot format."""
-    header = None
-    situation = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            if not line.startswith("n="):
-                raise SnapshotError(f"line {lineno}: expected 'n=<height>' header")
-            try:
-                header = int(line[2:])
-            except ValueError:
-                raise SnapshotError(f"line {lineno}: bad height {line[2:]!r}") from None
-            if header < 0:
-                raise SnapshotError(f"line {lineno}: negative height {header}")
-            situation = Situation(header)
-            continue
-        try:
-            size_s, start_s = line.split("@")
-            size, start = int(size_s), int(start_s)
-        except ValueError:
-            raise SnapshotError(f"line {lineno}: expected '<size>@<start>'") from None
-        if size <= 0 or size & (size - 1):
-            raise SnapshotError(f"line {lineno}: size {size} is not a power of two")
-        try:
-            situation.place_pebble(size.bit_length() - 1, start)
-        except AllocationError as exc:
-            raise SnapshotError(f"line {lineno}: {exc}") from None
-    if situation is None:
-        raise SnapshotError("empty snapshot: missing 'n=<height>' header")
-    return situation

@@ -5,7 +5,8 @@ leaf position it covers; free leaves print as dots.  The output is stable
 and injective up to this format: sizes, order, colors and gaps are all
 recoverable.
 
-``{4@0, 1@4}`` at height 3 renders as ``[BBBB][W]...``.  A tree taller
+The state of the trace ``n=3``, ``I 2``, ``I 0`` (a pebble of size 4 at
+0, one of size 1 at 4) renders as ``[BBBB][W]...``.  A tree taller
 than ``MAX_HEIGHT`` (more than 1 Mi leaves) is refused with a
 :class:`RequestError`.
 """

@@ -1,7 +1,7 @@
 """Trace files and workload generators.
 
-Trace format: header ``n=<height>``, then one request per line, ``#``
-comments allowed, LF endings::
+Trace format: header ``n=<height>``, at most ``MAX_TREE_HEIGHT``, then
+one request per line, ``#`` comments allowed, LF endings::
 
     I <level>    insert at level
     D <level>    delete the last pebble of level
@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .allocator import DELETE_ID, DELETE_LEVEL, INSERT, Request
+from .model import MAX_TREE_HEIGHT
 
 
 class TraceError(Exception):
@@ -111,6 +112,8 @@ def parse_trace(text: str) -> Trace:
                 raise TraceError(f"bad height {line[2:]!r}", line=lineno) from None
             if n < 0:
                 raise TraceError(f"negative height {n}", line=lineno)
+            if n > MAX_TREE_HEIGHT:
+                raise TraceError(f"height {n} is above {MAX_TREE_HEIGHT}", line=lineno)
             continue
         request = shared.get(line)  # requests are values: one per distinct I/D line
         if request is None:

@@ -16,10 +16,9 @@ from ovsfalloc.model import (
     Pebble,
     Place,
     RequestError,
+    MAX_TREE_HEIGHT,
     Situation,
-    SnapshotError,
     Violation,
-    parse_snapshot,
 )
 from ovsfalloc.oracle import (
     scan_closing_position,
@@ -311,21 +310,12 @@ def test_new_ids_follow_a_relabel():
     assert sorted(q.id for q in s.pebbles()) == [2, 3]
 
 
-def test_snapshot_roundtrip():
-    s, _ = build(4, [(2, 0), (1, 2), (4, 4), (2, 8)])
-    text = s.serialize()
-    assert text == "n=4\n2@0\n1@2\n4@4\n2@8\n"
-    again = parse_snapshot(text)
-    assert again.to_pairs() == s.to_pairs()
-
-
-def test_snapshot_errors():
-    with pytest.raises(SnapshotError, match="header"):
-        parse_snapshot("2@0\n")
-    with pytest.raises(SnapshotError, match="line 2"):
-        parse_snapshot("n=3\n3@0\n")
-    with pytest.raises(SnapshotError, match="line 3"):
-        parse_snapshot("n=3\n2@0\n2@1\n")
+def test_situation_refuses_a_height_above_the_bound():
+    assert Situation(MAX_TREE_HEIGHT).leaves == 1 << MAX_TREE_HEIGHT
+    with pytest.raises(ValueError, match=f"tree height must be in \\[0, {MAX_TREE_HEIGHT}\\], got {MAX_TREE_HEIGHT + 1}"):
+        Situation(MAX_TREE_HEIGHT + 1)
+    with pytest.raises(ValueError, match="got -1"):
+        Situation(-1)
 
 
 def test_copy_is_independent():

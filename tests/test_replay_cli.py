@@ -408,6 +408,9 @@ def test_cli_budget_zero_is_applied(tmp_path, capsys):
         (["gen", "cascade", "--height", "3", "--requests", "-1"], "--requests must be >= 0, got -1"),
         (["gen", "random", "--height", "-1", "--requests", "5"], "--height must be >= 0, got -1"),
         (["gen", "cascade", "--height", "-1", "--requests", "5"], "--height must be >= 0, got -1"),
+        (["verify", "--height", "1025", "--depth", "1"], "--height must be <= 1024, got 1025"),
+        (["gen", "random", "--height", "1025", "--requests", "1"], "--height must be <= 1024, got 1025"),
+        (["gen", "cascade", "--height", "1025", "--requests", "1"], "--height must be <= 1024, got 1025"),
     ],
 )
 def test_cli_rejects_out_of_range_counts(tmp_path, capsys, argv, message):
@@ -469,7 +472,7 @@ def test_cli_render_refuses_a_tall_tree(tmp_path, capsys):
     # one character per leaf: 2**64 of them cannot be drawn
     snap = _write(tmp_path, "tall.snap", "n=64\n")
     trace = _write(tmp_path, "tall.trace", "n=64\nI 3\n")
-    for argv in (["render", snap], ["render", trace, "--trace"]):
+    for argv in (["render", snap], ["render", trace]):
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: height 64 is above 20: too many leaves to draw\n"
     with pytest.raises(model.RequestError):
@@ -484,7 +487,7 @@ def test_cli_render_refuses_a_tall_trace_before_replaying_it(tmp_path, capsys, m
         raise AssertionError("the trace was replayed")
 
     monkeypatch.setattr(cli, "replay", no_replay)
-    assert main(["render", path, "--trace", "--step", "3"]) == 2
+    assert main(["render", path, "--step", "3"]) == 2
     assert capsys.readouterr().err == "error: height 30 is above 20: too many leaves to draw\n"
 
 
@@ -541,28 +544,48 @@ def test_cli_verify_pass_and_mutation_fail(capsys):
     assert "FAIL" in out
 
 
-def test_cli_render_snapshot(tmp_path, capsys):
-    path = _write(tmp_path, "s.snap", "n=3\n4@0\n1@4\n")
+def test_cli_render_draws_the_state_a_trace_reaches(tmp_path, capsys):
+    path = _write(tmp_path, "t.trace", "n=3\nI 2\nI 0\n")
     assert main(["render", path]) == 0
-    assert capsys.readouterr().out.strip() == "[BBBB][W]..."
-    bad = _write(tmp_path, "bad.snap", "4@0\n")
-    assert main(["render", bad]) == 2
+    assert capsys.readouterr().out == "[BBBB][W]...\n"
+
+
+def test_cli_render_refuses_an_old_snapshot_file(tmp_path, capsys):
+    path = _write(tmp_path, "s.snap", "n=3\n4@0\n1@4\n")
+    assert main(["render", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: unrecognized request '4@0'\n"
 
 
 def test_cli_render_trace_step(tmp_path, capsys):
     path = _write(tmp_path, "t.trace", "n=2\nI 0\nI 0\nD 0\n")
-    assert main(["render", path, "--trace", "--step", "2"]) == 0
+    assert main(["render", path, "--step", "2"]) == 0
     assert capsys.readouterr().out.strip() == "[B][B].."
-    assert main(["render", path, "--trace"]) == 0
+    assert main(["render", path]) == 0
     assert capsys.readouterr().out.strip() == "[B]..."
 
 
-def test_cli_render_snapshot_rejects_step(tmp_path, capsys):
-    path = _write(tmp_path, "s.snap", "n=3\n4@0\n1@4\n")
-    assert main(["render", path, "--step", "1"]) == 2
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_non_utf8_input_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(b"n=3\nI 0\n\xff\n")
+    assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --step needs --trace: a snapshot has no requests\n"
+    assert captured.err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_refuses_a_trace_above_the_height_bound(tmp_path, capsys, command):
+    # the parent asked for a list of 10**9 + 1 counts here and ran out of memory
+    path = _write(tmp_path, "huge.trace", "n=1000000000\nI 0\n")
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: height 1000000000 is above 1024\n"
 
 
 def test_cli_gen_cascade_rejects_by_id(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from ovsfalloc.model import MAX_TREE_HEIGHT
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import (
     Trace,
@@ -35,6 +36,15 @@ def test_parse_errors_cite_line_numbers():
         parse_trace("n=2\nI 0\nX 1\n")
     with pytest.raises(TraceError, match="line 2"):
         parse_trace("n=2\nI x\n")
+
+
+def test_header_refuses_a_height_above_the_bound():
+    # refused at the header, before any per-level list is sized by it
+    assert parse_trace(f"n={MAX_TREE_HEIGHT}\nI 0\n").n == MAX_TREE_HEIGHT
+    with pytest.raises(TraceError) as info:
+        parse_trace(f"n={MAX_TREE_HEIGHT + 1}\nI 0\n")
+    assert str(info.value) == f"line 1: height {MAX_TREE_HEIGHT + 1} is above {MAX_TREE_HEIGHT}"
+    assert info.value.line == 1
 
 
 def test_admissibility_errors_cite_request_index():
