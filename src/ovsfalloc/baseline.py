@@ -13,10 +13,10 @@ at most one pebble per level.  A delete removes the rightmost pebble of
 the level, and each higher run whose aligned start moved one slot left
 shifts there by moving its last pebble to its front.
 
-So every hop rotates one run, and it is one segment step:
-``Situation.move_at`` is given the start the pass already holds and
-rewrites that run's segment in place, with no lookup of the pebble by
-position and no search for a free slot.
+So each request rotates a block of consecutive runs by one slot, and it
+is one ``Situation.rotate_runs`` call over the segment indices the pass
+already holds: no lookup of a pebble by position, no search for a free
+slot and no bisection per hop.
 
 Per-request cost is therefore bounded by the number of levels, and on
 cascade workloads it really grows linearly with the height, which is the
@@ -29,7 +29,7 @@ from bisect import bisect_right
 from operator import itemgetter
 
 from .allocator import DELETE_LEVEL, INSERT, MoveLog, admit_insert, hand_over, take_last
-from .model import InvariantError, Place, Situation
+from .model import InvariantError, Situation
 
 _LEVEL = itemgetter(1)
 
@@ -39,24 +39,17 @@ def baseline_insert(s: Situation, level: int) -> MoveLog:
     runs = s.segments()
     i = bisect_right(runs, level, key=_LEVEL)  # runs[:i] hold the levels <= level
     start, lv, count = runs[i - 1] if i else (0, 0, 0)
-    place = Place(level, -(-(start + (count << lv)) // size) * size)
-    hops = []  # (start of a run the cascade passes, where its first pebble goes)
-    lv, target = place
+    slot = (start + (count << lv) + size - 1) & -size  # the new pebble's, rounded up
+    j, lv, target = i, level, slot  # runs[i:j] cascade; the last one displaced and its slot
     for start, run_level, count in runs[i:]:
         if start != target:
             break
-        lv, target = run_level, start + (count << run_level)
-        hops.append((start, target))
+        j, lv, target = j + 1, run_level, start + (count << run_level)
     if target + (1 << lv) > s.leaves:
         raise InvariantError("sorted layout overflow; baseline state corrupt")
-    moved = []
-    for start, new_start in reversed(hops):  # top down, each onto a free slot
-        p = s.move_at(start, new_start)
-        old, new = tuple.__new__(Place, (p.level, start)), tuple.__new__(Place, (p.level, new_start))
-        moved.append((p.id, old, new))
-    moved.reverse()  # logged bottom up
-    new = s.place_pebble(level, place.start)
-    log = MoveLog(INSERT, level=level, placed=(new.id, place), branch="baseline-insert")
+    moved = s.rotate_runs(i, j, True)  # each run's first pebble to its end, logged bottom up
+    new = s.place_pebble(level, slot)
+    log = MoveLog(INSERT, level=level, placed=(new.id, new.place), branch="baseline-insert")
     log.moved = moved
     return log
 
@@ -64,18 +57,20 @@ def baseline_insert(s: Situation, level: int) -> MoveLog:
 def baseline_delete(s: Situation, level: int) -> MoveLog:
     victim = take_last(s, level)[0]
     log = MoveLog(DELETE_LEVEL, level=level, removed=victim.id, branch="baseline-delete")
-    end = 0  # end of the runs passed so far, after their shifts
-    for start, lv, count in s.segments():
+    end, lo, hi = 0, 0, 0  # end of the runs passed so far, after their shifts; runs[lo:hi] shift
+    for k, (start, lv, count) in enumerate(s.segments()):
         size = 1 << lv
-        want = -(-end // size) * size
+        want = (end + size - 1) & -size
         if want < start:
             if start - want != size:
                 raise InvariantError("sorted layout drifted by more than one slot")
-            mover = s.move_at(start + (count - 1) * size, want)
-            old, new = tuple.__new__(Place, (lv, mover.start)), tuple.__new__(Place, (lv, want))
-            log.moved.append((mover.id, old, new))
-            start = want
-        end = start + count * size
+            if lo < hi < k:
+                raise InvariantError("sorted layout drifted: a run between two shifted ones stays")
+            if lo == hi:
+                lo = k
+            hi, start = k + 1, want
+        end = start + (count << lv)
+    log.moved = s.rotate_runs(lo, hi, False)  # each run's last pebble to its front
     return log
 
 

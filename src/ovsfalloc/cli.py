@@ -16,9 +16,9 @@ import json
 import sys
 
 from .coins import DEFAULT_BUDGET
-from .model import MAX_TREE_HEIGHT, RequestError
+from .model import RequestError, check_height
 from .oracle import MUTANTS, exhaustive_verify
-from .render import check_height, render
+from .render import check_drawable, render
 from .replay import ReplayError, replay
 from .workloads import (
     Trace,
@@ -111,10 +111,10 @@ def _usage_error(message: str) -> int:
 
 def _height_error(height: int) -> str:
     """Why a ``--height`` is refused, or ``""``."""
-    if height < 0:
-        return f"--height must be >= 0, got {height}"
-    if height > MAX_TREE_HEIGHT:
-        return f"--height must be <= {MAX_TREE_HEIGHT}, got {height}"
+    try:
+        check_height(height)
+    except ValueError as exc:
+        return f"--{exc}"
     return ""
 
 
@@ -198,7 +198,7 @@ def _cmd_render(args) -> int:
     if trace is None:
         return 2
     try:
-        check_height(trace.n)  # before any request is replayed
+        check_drawable(trace.n)  # before any request is replayed
     except RequestError as exc:
         return _usage_error(str(exc))
     step = len(trace.requests) if args.step is None else args.step

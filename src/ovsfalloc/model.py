@@ -15,32 +15,21 @@ pebble starts before it, otherwise *white*.  A situation is *valid* when
 * P2: two white pebbles never sit next to each other in position order,
 * P3: no white pebble has black left and right neighbors of equal size.
 
-The query methods scan or bisect one position-ordered list of segments,
-each a maximal run of contiguous equal-size pebbles.  In a valid
-situation every level holds one contiguous black run and at most one
-white pebble, so that list is O(n) long and no part of the state is
-sized by ``2**n``.  ``validate`` re-checks all of this (plus alignment
-and disjointness) in one walk over the segments, O(1) per segment
+Positions are held once, in one position-ordered list of segments, each a
+maximal run of contiguous equal-size pebbles; ids are two inverse maps
+over the segment starts (see :class:`Situation`).  In a valid situation
+every level holds one contiguous black run and at most one white pebble,
+so that list is O(n) long and no part of the state is sized by ``2**n``.
+``validate`` re-checks all of this (plus alignment and disjointness) in
+one walk over the segments, O(1) per segment
 (:func:`~ovsfalloc.layout.scan_runs`), which also yields the free runs
-that the coin audit recounts and is kept until the next mutation.  The
-walk does not trust the segment list: each stored pebble copy is checked
-against it where the copy is read or written, and
-``Situation.cross_check`` checks every copy at once.
+that the coin audit recounts and is kept until the next mutation.
 
-The allocator's reads take one walk each.  ``insert_site`` returns the
-first free place of a level with the pebble left of it and that pebble's
-color, which rule C gives from the largest level of the segments before
-it; ``last_of_level`` returns a level's last pebble with the least level
-right of it, walking right to left.
-
-Only ``place_pebble``, ``remove_pebble``, ``move_at`` and
-``relabel_pebble`` change the state; ``move_pebble`` is ``move_at`` by id,
-and ``remove_last`` is ``remove_pebble``'s own code run on the pebble
-that ``last_of_level`` finds.
-``move_at`` finds the pebble at a start with one bisection.  When the
-move rotates a run, the run's first pebble to just past its end or its
-last to just before its start, it rewrites that one segment in place:
-each hop of the sorted baseline's cascade is such a step.
+The allocator's reads, ``insert_site`` and ``last_of_level``, take one
+walk each.  ``move_at`` moves one pebble, cut out of its segment and
+joined where it lands; ``rotate_runs`` moves one pebble of each of a
+block of segments from one end of its run to the other, in one pass, as
+the sorted baseline's cascade does.
 
 A Situation is a self-contained value: instances share no mutable state,
 may be moved freely between threads, and a single instance must not be
@@ -50,8 +39,9 @@ mutated concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from operator import itemgetter
+from typing import NamedTuple
 
 from .layout import PebbleScan, Place, Violation, scan_runs
 
@@ -61,6 +51,15 @@ WHITE = "white"
 # the tallest tree any entry point builds: the state is O(height), but a
 # per-level list of a height read from a file must not exhaust memory
 MAX_TREE_HEIGHT = 1024
+
+
+def check_height(n: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= n <= MAX_TREE_HEIGHT``; every
+    entry point that sizes anything by a height calls this first."""
+    if n < 0:
+        raise ValueError(f"height must be >= 0, got {n}")
+    if n > MAX_TREE_HEIGHT:
+        raise ValueError(f"height must be <= {MAX_TREE_HEIGHT}, got {n}")
 
 
 class AllocationError(Exception):
@@ -79,13 +78,13 @@ class InvariantError(AllocationError):
     """An internal expectation failed; the input situation was not valid."""
 
 
-@dataclass(frozen=True, slots=True)
-class Pebble:
+class Pebble(NamedTuple):
     """One allocated code: stable id, level and starting position.
 
-    A value: moving or relabelling a pebble installs a new one, so a
-    pebble held by a caller keeps the place and id it was read with.
-    """
+    A value, like :class:`~ovsfalloc.layout.Place`, built as
+    ``tuple.__new__(Pebble, (id, level, start))`` where a method returns
+    one: a frozen dataclass would spend three ``object.__setattr__`` calls
+    on each read.  A pebble held by a caller keeps its place and id."""
 
     id: int
     level: int
@@ -103,19 +102,8 @@ class Pebble:
     def place(self) -> Place:
         return tuple.__new__(Place, (self.level, self.start))  # no NamedTuple __new__ call
 
-
-_SET_ID, _SET_LEVEL, _SET_START = (Pebble.__dict__[f].__set__ for f in ("id", "level", "start"))
-
-
-def _pebble(pid: int, level: int, start: int) -> Pebble:
-    """``Pebble(pid, level, start)`` with its slots set directly: the frozen
-    dataclass ``__init__`` calls ``object.__setattr__`` per field and takes
-    about a fifth of a cascade hop."""
-    pebble = object.__new__(Pebble)
-    _SET_ID(pebble, pid)
-    _SET_LEVEL(pebble, level)
-    _SET_START(pebble, start)
-    return pebble
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 _START = itemgetter(0)
@@ -126,10 +114,9 @@ def _seg_end(seg: tuple[int, int, int]) -> int:
     return start + (count << level)
 
 
-def _stray(pebble: Pebble | None, start: int, level: int) -> InvariantError:
-    """The error for a stored copy that is not the pebble of ``level`` the
-    segment list puts at ``start``."""
-    return InvariantError(f"the pebble stored at {start} is {pebble}, not the segments' {Place(level, start)}")
+def _stray(start: int, pid: int | None) -> InvariantError:
+    """The error for a start whose stored id the id map puts elsewhere."""
+    return InvariantError(f"the pebble stored at {start} (id {pid}) is not stored by id at {start}")
 
 
 def _starts(seg: tuple[int, int, int]) -> range:
@@ -141,34 +128,28 @@ def _starts(seg: tuple[int, int, int]) -> range:
 class Situation:
     """Mutable allocator state over ``2**n`` leaf positions.
 
-    ``_peb`` maps ids to pebbles and ``_at`` starts to pebbles.  Positions
-    live in ``_segs``, a start-ordered list of ``(start, level, count)``
-    segments: ``count`` contiguous pebbles of ``level``, the first at
-    ``start``, with no equal-level pebble touching either end.  Every
-    positional query is a scan or bisection of that one list; rule C
-    colors a pebble by a prefix-max scan over it.
-
-    The segment list is not trusted to agree with the pebble copies in
-    ``_at`` and ``_peb``: every read of a copy is checked against the place
-    the list gives it, every write checks the copy it replaces, and
-    :meth:`cross_check` compares all of them in O(pebbles).  A mismatch
-    raises :class:`InvariantError`.
+    Positions live in ``_segs`` alone, a start-ordered list of
+    ``(start, level, count)`` segments: ``count`` contiguous pebbles of
+    ``level``, the first at ``start``, with no equal-level pebble touching
+    either end.  Every positional query is a scan or bisection of it; rule
+    C colors a pebble by a prefix-max scan over it.  Ids are two int maps
+    over the segment starts, ``_id_at`` (start -> id) and ``_start_of``
+    (id -> start).  A :class:`Pebble` is built only where a method returns
+    one, with the level of its segment.  Every read of an id checks that
+    the two maps are inverse at its start, and :meth:`cross_check` checks
+    every start; a mismatch raises :class:`InvariantError`.
 
     ``_scan`` keeps the last :class:`PebbleScan`, walked over the segments,
     so that ``validate`` and the coin audit of one state share a single
-    walk.  ``place_pebble``, ``remove_pebble`` (whose code ``remove_last``
-    runs), ``move_at`` and ``relabel_pebble``, the only writers of ``_peb``,
-    ``_at`` and ``_segs`` (the list through ``_cut`` and ``_join``), drop
-    it; ``copy`` shares it, since it is immutable.
+    walk.  Every mutator drops it; ``copy`` shares it, since it is immutable.
     """
 
     def __init__(self, n: int):
-        if not 0 <= n <= MAX_TREE_HEIGHT:
-            raise ValueError(f"tree height must be in [0, {MAX_TREE_HEIGHT}], got {n}")
+        check_height(n)
         self.n = n
         self.leaves = 1 << n
-        self._peb: dict[int, Pebble] = {}
-        self._at: dict[int, Pebble] = {}  # start -> pebble
+        self._id_at: dict[int, int] = {}
+        self._start_of: dict[int, int] = {}
         self._segs: list[tuple[int, int, int]] = []
         self._scan: PebbleScan | None = None
         self._occupied = 0
@@ -188,20 +169,26 @@ class Situation:
             return -1
         return i
 
-    def _by_id(self, pid: int) -> tuple[int, int, Pebble]:
-        """``(i, k, pebble)``: the pebble with id ``pid`` is pebble ``k`` of
-        segment ``i``, and the copy stored at its start is the same object."""
-        pebble = self._peb.get(pid)
-        if pebble is None:
-            raise RequestError(f"unknown pebble id {pid}")
-        start = pebble.start
+    def _index(self, start: int) -> tuple[int, int, int]:
+        """``(i, k, level)``: pebble ``k`` of segment ``i`` starts at ``start``, or ``i`` is -1."""
         segs = self._segs
         i = bisect_right(segs, start, key=_START) - 1
-        first, level, count = segs[i] if i >= 0 else (start, 0, 0)  # none: an empty one
-        k = (start - first) >> level
-        if k >= count or first + (k << level) != start or self._read(start, level) is not pebble:
+        if i >= 0:
+            first, level, count = segs[i]
+            k = (start - first) >> level
+            if k < count and first + (k << level) == start:
+                return i, k, level
+        return -1, 0, 0
+
+    def _by_id(self, pid: int) -> tuple[int, int, Pebble]:
+        """``(i, k, pebble)``: pebble ``k`` of segment ``i`` has id ``pid`` in both maps."""
+        start = self._start_of.get(pid)
+        if start is None:
+            raise RequestError(f"unknown pebble id {pid}")
+        i, k, level = self._index(start)
+        if i < 0 or self._id_at.get(start) != pid:
             raise InvariantError(f"pebble {pid} is not the one the segments put at {start}")
-        return i, k, pebble
+        return i, k, tuple.__new__(Pebble, (pid, level, start))
 
     def _cut(self, i: int, k: int) -> int:
         """Replace segment ``i`` by the runs left and right of its pebble
@@ -250,18 +237,18 @@ class Situation:
         i = self._slot(start, start + (1 << level))
         if i < 0:
             raise RequestError(f"place {Place(level, start)} is not free")
-        if pid is None:
-            pid = self._next_id
-        if pid in self._peb:
+        pid = self._next_id if pid is None else pid
+        if pid in self._start_of:
             raise RequestError(f"pebble id {pid} already present")
-        if start in self._at:
+        if start in self._id_at:
             raise InvariantError(f"a pebble is stored at free start {start}")
         self._next_id = max(self._next_id, pid + 1)
         self._join(i, i, start, level, 1)
         self._scan = None
-        self._peb[pid] = self._at[start] = pebble = _pebble(pid, level, start)
+        self._id_at[start] = pid
+        self._start_of[pid] = start
         self._occupied += 1 << level
-        return pebble
+        return tuple.__new__(Pebble, (pid, level, start))
 
     def remove_pebble(self, pid: int) -> Pebble:
         return self._remove(*self._by_id(pid))
@@ -274,8 +261,6 @@ class Situation:
         if found is None:
             return None
         i, pebble, low = found
-        if self._peb.get(pebble.id) is not pebble:
-            raise InvariantError(f"pebble {pebble.id} at {pebble.start} is not the one stored by id")
         self._remove(i, self._segs[i][2] - 1, pebble)
         return pebble, low
 
@@ -283,59 +268,95 @@ class Situation:
         """Remove ``pebble``, checked to be pebble ``k`` of segment ``i``."""
         self._cut(i, k)
         self._scan = None
-        del self._peb[pebble.id], self._at[pebble.start]
+        del self._start_of[pebble.id], self._id_at[pebble.start]
         self._occupied -= 1 << pebble.level
         return pebble
 
     def move_at(self, start: int, new_start: int) -> Pebble:
-        """Move the pebble at ``start`` to the free aligned place of its
-        level at ``new_start`` and return it as it was, or raise
-        :class:`InvariantError` with nothing changed.
-
-        A move of a run's first pebble to just past its end, or of its last
-        to just before its start, rotates the run: its one segment is
-        rewritten in place, or merged with an equal-level neighbour that it
-        now touches.  Any other move cuts the pebble out of its segment and
-        joins it where ``_slot`` finds room."""
-        segs = self._segs
-        i = bisect_right(segs, start, key=_START) - 1
-        first, level, count = segs[i] if i >= 0 else (start, 0, 0)  # none: an empty one
-        k = (start - first) >> level
-        if k >= count or first + (k << level) != start:
+        """Move the pebble at ``start`` to the free aligned place of its level
+        at ``new_start``, cut out of its segment and joined where ``_slot``
+        finds room, and return it as it was; or raise :class:`InvariantError`
+        with nothing changed."""
+        i, k, level = self._index(start)
+        if i < 0:
             raise InvariantError(f"no segment puts a pebble at {start}")
         pebble = self._read(start, level)
-        if self._peb.get(pebble.id) is not pebble:
-            raise InvariantError(f"pebble {pebble.id} at {start} is not the one stored by id")
         size = 1 << level
         if new_start & (size - 1) or new_start < 0 or new_start + size > self.leaves:
             raise InvariantError(f"misaligned move of {pebble.id} to {new_start}")
-        if new_start in self._at:
+        if new_start in self._id_at:
             raise InvariantError(f"a pebble is stored at {new_start}, the move's free start")
-        end = first + (count << level)
-        if k == 0 and new_start == end or k == count - 1 and new_start == first - size:
-            lo = first + size if new_start == end else new_start  # where the run starts after
-            hi = lo + (count << level)
-            left = segs[i - 1] if i else (0, 0, 0)  # or an empty one at 0
-            right = segs[i + 1] if i + 1 < len(segs) else (self.leaves, -1, 0)  # or at the end
-            left_end = left[0] + (left[2] << left[1])
-            if left_end > lo or right[0] < hi:
-                raise InvariantError(f"place {Place(level, new_start)} is not free")
-            if left_end == lo and left[1] == level or right[0] == hi and right[1] == level:
-                self._join(i, i + 1, lo, level, count)
-            else:
-                segs[i] = (lo, level, count)
-        else:
-            j = self._slot(new_start, new_start + size)
-            if j < 0:
-                raise InvariantError(f"place {Place(level, new_start)} is not free")
-            parts = self._cut(i, k)
-            if j > i:  # past segment ``i``, which the cut made ``parts`` segments
-                j += parts - 1
-            self._join(j, j, new_start, level, 1)
+        j = self._slot(new_start, new_start + size)
+        if j < 0:
+            raise InvariantError(f"place {Place(level, new_start)} is not free")
+        parts = self._cut(i, k)
+        if j > i:  # past segment ``i``, which the cut made ``parts`` segments
+            j += parts - 1
+        self._join(j, j, new_start, level, 1)
         self._scan = None
-        del self._at[start]
-        self._peb[pebble.id] = self._at[new_start] = _pebble(pebble.id, level, new_start)
+        del self._id_at[start]
+        self._id_at[new_start] = pebble.id
+        self._start_of[pebble.id] = new_start
         return pebble
+
+    def rotate_runs(self, lo: int, hi: int, right: bool) -> list[tuple[int, Place, Place]]:
+        """Rotate each of the segments ``lo..hi-1`` by one slot: with
+        ``right`` a run's first pebble moves just past its end, top down,
+        else its last just before its start, bottom up.  Each hop is checked
+        as :meth:`move_at` checks it, read from its segment: the destination
+        is aligned, inside the tree, stores no id and overlaps no neighbour.
+        A run that then touches an equal-level neighbour is merged with it.
+        Returns ``(id, old place, new place)`` per hop, in segment order, or
+        raises :class:`InvariantError` with nothing changed."""
+        if lo >= hi:
+            return []
+        segs, id_at, start_of, leaves = self._segs, self._id_at, self._start_of, self.leaves
+        a, b = lo, hi  # ``runs`` replaces ``segs[a:b]``: the block and the neighbours merged in
+        end, prev = (_seg_end(segs[lo - 1]), segs[lo - 1][1]) if lo else (0, -1)  # the run before
+        vacated = -1  # a source that an earlier hop empties
+        runs, hops = [], []  # the block's new segments; (id, level, source, destination) per hop
+        for i in range(lo, hi):
+            first, level, count = segs[i]
+            size = 1 << level
+            if right:  # top down: the next run's first pebble has left
+                src, dst, new_first = first, first + (count << level), first + size
+                vacated = segs[i + 1][0] if i + 1 < hi else -1
+            else:  # bottom up: the previous run's last pebble has left
+                src, dst, new_first = first + ((count - 1) << level), first - size, first - size
+            pid = id_at.get(src)
+            if pid is None or start_of.get(pid) != src:
+                raise _stray(src, pid)
+            if dst & (size - 1) or dst < 0 or dst + size > leaves:
+                raise InvariantError(f"misaligned move of {pid} to {dst}")
+            if dst in id_at and dst != vacated:
+                raise InvariantError(f"a pebble is stored at {dst}, the move's free start")
+            if new_first < end:
+                raise InvariantError(f"place {Place(level, dst)} is not free")
+            hops.append((pid, level, src, dst))
+            if new_first == end and level == prev:  # touches the run before it
+                if runs:
+                    new_first, _, more = runs.pop()
+                else:
+                    a -= 1
+                    new_first, _, more = segs[a]
+                count += more
+            runs.append((new_first, level, count))
+            end, prev, vacated = new_first + (count << level), level, src
+        if b < len(segs):
+            first, level, count = segs[b]
+            if first < end:
+                raise InvariantError(f"segment {segs[b]} overlaps a rotated one ending at {end}")
+            if first == end and level == prev:
+                b += 1
+                runs[-1] = (runs[-1][0], level, runs[-1][2] + count)
+        self._scan = None
+        segs[a:b] = runs
+        for pid, _, src, dst in reversed(hops) if right else hops:  # in hop order: dst is free
+            del id_at[src]
+            id_at[dst] = pid
+            start_of[pid] = dst
+        new = tuple.__new__  # no NamedTuple __new__ call per Place
+        return [(pid, new(Place, (lv, src)), new(Place, (lv, dst))) for pid, lv, src, dst in hops]
 
     def move_pebble(self, pid: int, new_start: int) -> None:
         """:meth:`move_at` for the pebble with id ``pid``."""
@@ -343,58 +364,44 @@ class Situation:
 
     def relabel_pebble(self, old_id: int, new_id: int) -> None:
         """Hand ``old_id``'s pebble the identity ``new_id`` (code handover)."""
-        old = self.pebble(old_id)
-        if new_id in self._peb:
+        start = self.pebble(old_id).start
+        if new_id in self._start_of:
             raise RequestError(f"pebble id {new_id} already present")
-        del self._peb[old_id]
+        del self._start_of[old_id]
         self._scan = None
         self._next_id = max(self._next_id, new_id + 1)
-        self._peb[new_id] = self._at[old.start] = _pebble(new_id, old.level, old.start)
+        self._start_of[new_id], self._id_at[start] = start, new_id
 
     def copy(self) -> "Situation":
         other = Situation.__new__(Situation)
-        other.n = self.n
-        other.leaves = self.leaves
-        other._peb = dict(self._peb)
-        other._at = dict(self._at)
-        other._segs = list(self._segs)
-        other._scan = self._scan
-        other._occupied = self._occupied
-        other._next_id = self._next_id
+        other.n, other.leaves = self.n, self.leaves
+        other._id_at, other._start_of = dict(self._id_at), dict(self._start_of)
+        other._segs, other._scan = list(self._segs), self._scan  # the scan is immutable, so shared
+        other._occupied, other._next_id = self._occupied, self._next_id
         return other
 
     # ------------------------------------------------------------------
     # basic queries
 
     def __len__(self) -> int:
-        return len(self._peb)
+        return len(self._start_of)
 
     def __contains__(self, pid: int) -> bool:
-        return pid in self._peb
+        return pid in self._start_of
 
     def pebble(self, pid: int) -> Pebble:
         return self._by_id(pid)[2]
 
     def _read(self, start: int, level: int) -> Pebble:
-        """The pebble stored at ``start``, where the segment list puts one
-        of ``level``; InvariantError when the stored copy disagrees."""
-        pebble = self._at.get(start)
-        if pebble is None or pebble.start != start or pebble.level != level:
-            raise _stray(pebble, start, level)
-        return pebble
+        """The pebble at ``start``, where the segment list puts one of
+        ``level``; InvariantError unless the maps are inverse there."""
+        if self._start_of.get(pid := self._id_at.get(start)) != start:
+            raise _stray(start, pid)
+        return tuple.__new__(Pebble, (pid, level, start))
 
     def pebbles(self) -> list[Pebble]:
-        """Pebbles in position order, as a fresh list, each checked against
-        its segment."""
-        get = self._at.get
-        out = []
-        for first, level, count in self._segs:
-            for start in range(first, first + (count << level), 1 << level):
-                pebble = get(start)
-                if pebble is None or pebble.start != start or pebble.level != level:
-                    raise _stray(pebble, start, level)
-                out.append(pebble)
-        return out
+        """Pebbles in position order, as a fresh list, each read checked."""
+        return [self._read(start, seg[1]) for seg in self._segs for start in _starts(seg)]
 
     def segments(self) -> tuple[tuple[int, int, int], ...]:
         """The ``(start, level, count)`` segments, position ordered."""
@@ -412,14 +419,10 @@ class Situation:
 
     def pebble_at(self, start: int) -> Pebble | None:
         """The pebble starting at ``start``, or None."""
-        segs = self._segs
-        i = bisect_right(segs, start, key=_START)
-        if i:
-            first, level, count = segs[i - 1]
-            k = (start - first) >> level
-            if k < count and first + (k << level) == start:
-                return self._read(start, level)
-        if start in self._at:
+        i, _, level = self._index(start)
+        if i >= 0:
+            return self._read(start, level)
+        if start in self._id_at:
             raise InvariantError(f"a pebble is stored at {start}, where no segment puts one")
         return None
 
@@ -442,15 +445,11 @@ class Situation:
             k = ((pos - first) >> level) + 1
             if k < count:
                 return self._read(first + (k << level), level)
-        if i == len(segs):
-            return None
-        return self._read(segs[i][0], segs[i][1])
+        return None if i == len(segs) else self._read(segs[i][0], segs[i][1])
 
     def rightmost_of_level(self, level: int) -> Pebble | None:
-        for first, lv, count in reversed(self._segs):
-            if lv == level:
-                return self._read(first + ((count - 1) << lv), lv)
-        return None
+        found = self._last(level)
+        return None if found is None else found[1]
 
     def last_of_level(self, level: int) -> tuple[Pebble, int | None] | None:
         """The last pebble of ``level``, read checked, and the least level
@@ -485,19 +484,19 @@ class Situation:
 
     def is_black(self, pid: int) -> bool:
         """Rule C, in one walk up to the segment that holds ``pid``, where
-        its stored copy is read checked."""
-        pebble = self._peb.get(pid)
-        if pebble is None:
+        the maps are checked inverse at its start."""
+        start = self._start_of.get(pid)
+        if start is None:
             raise RequestError(f"unknown pebble id {pid}")
-        start, black = pebble.start, True
+        top = -1  # the largest level of the segments before ``pid``'s
         for first, level, count in self._segs:
             if first + (count << level) > start:  # the first segment reaching past ``start``
                 on_a_start = first <= start and not (start - first) % (1 << level)
-                if on_a_start and self._read(start, level) is pebble:
-                    return black
+                if on_a_start and self._id_at.get(start) == pid:
+                    return top <= level
                 break
-            if level > pebble.level:
-                black = False
+            if level > top:
+                top = level
         raise InvariantError(f"pebble {pid} is not the one the segments put at {start}")
 
     def color_of(self, pid: int) -> str:
@@ -580,7 +579,7 @@ class Situation:
     def pebble_scan(self) -> PebbleScan:
         """The :func:`scan_pebbles` result of the current pebbles, walked
         over the segments, O(segments), at most once between two
-        mutations; a witness id is read from ``_at`` only for a breach."""
+        mutations; a witness id is read, checked, only for a breach."""
         scan = self._scan
         if scan is None:
             scan = self._scan = scan_runs(self._segs, self.leaves, self._witness)
@@ -591,13 +590,12 @@ class Situation:
         return self._read(first + (k << level), level).id
 
     def cross_check(self) -> None:
-        """Compare every stored pebble copy with the segment list, in
-        O(pebbles): the segments are ordered, disjoint, maximal and inside
-        the tree, ``_at`` holds exactly their pebbles and ``_peb`` the same
-        values by id, and the occupied bandwidth is theirs.  Raises
-        :class:`InvariantError` on the first mismatch."""
+        """Check the id maps against the segment list, in O(pebbles): the
+        segments are ordered, maximal and inside the tree, each map is the
+        other's inverse over exactly their starts, and the occupied bandwidth
+        is theirs.  Raises :class:`InvariantError` on the first mismatch."""
         end, level, occupied, pebbles = 0, None, 0, 0  # ``seg``'s predecessor; totals so far
-        at, peb = self._at, self._peb
+        id_at, start_of = self._id_at, self._start_of
         for seg in self._segs:
             first, lv, count = seg
             if count < 1 or first < end or (first == end and lv == level):
@@ -605,16 +603,16 @@ class Situation:
             end, level, pebbles = first + (count << lv), lv, pebbles + count
             occupied += count << lv
             for start in range(first, end, 1 << lv):
-                pebble = at.get(start)
-                if pebble is None or pebble.start != start or pebble.level != lv:
-                    raise _stray(pebble, start, lv)
-                if peb.get(pebble.id) is not pebble:
+                pid = id_at.get(start)
+                if pid is None:
+                    raise _stray(start, pid)
+                if start_of.get(pid) != start:
                     raise InvariantError("the pebbles stored by id are not those in segments")
         if end > self.leaves:
             raise InvariantError(f"segments end at {end}, past the tree's {self.leaves}")
-        if len(at) != pebbles:
-            raise InvariantError(f"{len(at)} pebbles stored by start, {pebbles} in segments")
-        if len(peb) != pebbles:
+        if len(id_at) != pebbles:
+            raise InvariantError(f"{len(id_at)} pebbles stored by start, {pebbles} in segments")
+        if len(start_of) != pebbles:
             raise InvariantError("the pebbles stored by id are not those in segments")
         if occupied != self._occupied:
             raise InvariantError(f"occupied bandwidth {self._occupied}, segments hold {occupied}")

@@ -16,7 +16,7 @@ costs O(pebbles + n) and nothing is sized by ``2**n``.
 request sequence up to a depth bound.  Every edge (one request from one
 state) is checked for an exception, the insert reassignment bound and
 the charge of the request, its branches are counted, and the reached
-state's pebble copies are cross-checked with its segment list, a
+state's id maps are cross-checked with its segment list, a
 mismatch being an ``index`` failure.  That check proves the segments
 ordered, disjoint and maximal, so the walk then keys the state on its
 segment list, which is canonical.  Φ is a function of the pebbles, so
@@ -45,6 +45,7 @@ from .allocator import (
 )
 from .coins import DEFAULT_BUDGET, CoinLedger
 from .model import AllocationError, InvariantError, Pebble, Place, RequestError, Situation
+from .model import check_height
 
 INSERT_BRANCHES = (PLACE_DIRECT, PLACE_OVER_SMALL, ROTATE_PAIR, SHUFFLE_WHITE, SHUFFLE_BLACK)
 DELETE_BRANCHES = (EXIT_END, EXIT_NO_FIT)
@@ -433,23 +434,23 @@ def exhaustive_verify(
 
     Deduplicates on the segment list, read once the cross-check has
     passed, and expands each state once.  The per-edge checks (any
-    exception from ``apply``, insert bound, ``cross_check`` of every pebble
-    copy against the segment list, charge) run on every edge, and a failed
+    exception from ``apply``, insert bound, ``cross_check`` of the id
+    maps against the segment list, charge) run on every edge, and a failed
     cross-check has stage ``index``; the state checks (``validate``,
     ``structural_failures``, the P4 audit) run on the first edge that
     reaches a state, the first edge back to the empty root included.  A
-    negative ``budget`` raises ``ValueError``, as a negative height or
-    depth does.  Stops at the first failure and reports the request
-    sequence leading to it; stops early once a level adds no state (the
-    report's ``depth`` stays the bound asked for).  Full branch coverage
-    is required exactly when the bounds reach every branch (height >= 4
-    and depth >= 6), and a miss is a ``coverage`` failure; smaller
-    instances pass without the deep branches.  A ``mutant`` names an entry of ``MUTANTS``: the walk
-    then runs that edit of the allocator (:func:`mutant_apply`) in place
-    of ``apply``; an unknown name raises ``ValueError``.
+    negative ``budget`` or ``depth`` raises ``ValueError``, as does a
+    height that :func:`~ovsfalloc.model.check_height` refuses.  Stops at
+    the first failure and reports the request sequence leading to it;
+    stops early once a level adds no state (the report's ``depth`` stays
+    the bound asked for).  Full branch coverage is required exactly when
+    the bounds reach every branch (height >= 4 and depth >= 6), and a miss
+    is a ``coverage`` failure; smaller instances pass without the deep
+    branches.  A ``mutant`` names an entry of ``MUTANTS``: the walk then
+    runs that edit of the allocator (:func:`mutant_apply`) in place of
+    ``apply``; an unknown name raises ``ValueError``.
     """
-    if n < 0:
-        raise ValueError(f"height must be >= 0, got {n}")
+    check_height(n)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if budget < 0:

@@ -5,7 +5,7 @@ situation after every request and, for the main allocator, charges each
 request ``iterations + ΔΦ`` coins against the potential Φ and audits Φ by
 an independent recount.  Big benchmark runs can disable per-step
 validation and thin out audits; the final state is always audited, and
-every pebble copy in it is cross-checked against the segment list.  Any
+its id maps are cross-checked against its segment list.  Any
 failure, a typed error raised by a checked read included, ends the replay
 with a ``ReplayError`` naming the request; a failed audit carries its P4
 detail.  Statistics and log lines (none unless a ``log_format`` is

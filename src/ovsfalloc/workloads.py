@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 
 from .allocator import DELETE_ID, DELETE_LEVEL, INSERT, Request
-from .model import MAX_TREE_HEIGHT
+from .model import check_height
 
 
 class TraceError(Exception):
@@ -110,10 +110,10 @@ def parse_trace(text: str) -> Trace:
                 n = int(line[2:])
             except ValueError:
                 raise TraceError(f"bad height {line[2:]!r}", line=lineno) from None
-            if n < 0:
-                raise TraceError(f"negative height {n}", line=lineno)
-            if n > MAX_TREE_HEIGHT:
-                raise TraceError(f"height {n} is above {MAX_TREE_HEIGHT}", line=lineno)
+            try:
+                check_height(n)
+            except ValueError as exc:
+                raise TraceError(str(exc), line=lineno) from None
             continue
         request = shared.get(line)  # requests are values: one per distinct I/D line
         if request is None:
@@ -151,8 +151,7 @@ def gen_random_trace(
     is short; when nothing fits the request flips to a delete (and the
     other way around), so any mix is always realizable.
     """
-    if n < 0:
-        raise ValueError(f"height n must be >= 0, got {n}")
+    check_height(n)
     if m < 0:
         raise ValueError(f"request count m must be >= 0, got {m}")
     if not 0.0 < insert_ratio < 1.0:
@@ -203,6 +202,7 @@ def gen_cascade_trace(n: int, m: int) -> Trace:
     """
     if n < 2:
         raise ValueError(f"cascade trace needs height >= 2, got {n}")
+    check_height(n)
     if m < 0:
         raise ValueError(f"request count m must be >= 0, got {m}")
     setup = [Request(INSERT, level=0), Request(INSERT, level=0)]

@@ -123,8 +123,9 @@ def test_cascade_cost_grows_with_height():
 
 
 def test_cascade_hops_read_no_pebble_and_search_no_slot(monkeypatch):
-    # each hop is one segment step: the pass hands move_at the start it holds
-    calls = {"pebble_at": 0, "_slot": 0, "move_at": 0}
+    # each request is one segment pass: it hands rotate_runs the block of
+    # segment indices it holds, and no hop bisects
+    calls = {"pebble_at": 0, "_slot": 0, "_index": 0, "move_at": 0, "rotate_runs": 0}
     for name in calls:
         def counted(self, *args, _name=name, _fn=getattr(Situation, name)):
             calls[_name] += 1
@@ -135,7 +136,13 @@ def test_cascade_hops_read_no_pebble_and_search_no_slot(monkeypatch):
     res = replay(trace, allocator="baseline")
     inserts = sum(request.kind == INSERT for request in trace.requests)
     assert res.stats.total_moves > 2_000
-    assert calls == {"pebble_at": 0, "_slot": inserts, "move_at": res.stats.total_moves}
+    assert calls == {
+        "pebble_at": 0,
+        "_slot": inserts,
+        "_index": 0,
+        "move_at": 0,
+        "rotate_runs": len(trace.requests),
+    }
 
 
 def test_cascade_trace_single_request():

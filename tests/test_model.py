@@ -2,11 +2,13 @@ import collections
 import dataclasses
 import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovsfalloc.allocator import apply, insert
+from ovsfalloc.allocator import INSERT, apply, insert
+from ovsfalloc.baseline import baseline_delete, baseline_insert
 from ovsfalloc.coins import CoinLedger, potential, required_coins
 from ovsfalloc.layout import scan_pebbles
 from ovsfalloc.model import (
@@ -19,14 +21,16 @@ from ovsfalloc.model import (
     MAX_TREE_HEIGHT,
     Situation,
     Violation,
+    check_height,
 )
 from ovsfalloc.oracle import (
+    exhaustive_verify,
     scan_closing_position,
     scan_first_free_place,
     scan_free_before,
 )
 from ovsfalloc.replay import replay
-from ovsfalloc.workloads import gen_random_trace
+from ovsfalloc.workloads import TraceError, gen_cascade_trace, gen_random_trace, parse_trace
 from test_coins import iter_places  # the reference canonical decomposition
 
 
@@ -312,7 +316,7 @@ def test_new_ids_follow_a_relabel():
 
 def test_situation_refuses_a_height_above_the_bound():
     assert Situation(MAX_TREE_HEIGHT).leaves == 1 << MAX_TREE_HEIGHT
-    with pytest.raises(ValueError, match=f"tree height must be in \\[0, {MAX_TREE_HEIGHT}\\], got {MAX_TREE_HEIGHT + 1}"):
+    with pytest.raises(ValueError, match=f"^height must be <= {MAX_TREE_HEIGHT}, got {MAX_TREE_HEIGHT + 1}$"):
         Situation(MAX_TREE_HEIGHT + 1)
     with pytest.raises(ValueError, match="got -1"):
         Situation(-1)
@@ -463,7 +467,7 @@ def test_segment_scan_matches_pebble_scan_on_trace_states(by_id):
 
 
 def _state(s):
-    return list(s._segs), dict(s._at), dict(s._peb), s._occupied, s._next_id
+    return list(s._segs), dict(s._id_at), dict(s._start_of), s._occupied, s._next_id
 
 
 @pytest.mark.parametrize("by_id", [False, True])
@@ -506,10 +510,9 @@ def test_one_walk_reads_match_the_reads_they_replace(by_id):
     ],
 )
 def test_one_walk_reads_refuse_a_stray_copy(start, walk):
-    # the copy each walk reads is a smaller pebble than its segment holds
+    # the id map puts the pebble each walk reads one leaf short of its start
     s = _valid_state()
-    p = s._at[start]
-    s._at[start] = s._peb[p.id] = Pebble(p.id, p.level - 1, start)
+    s._start_of[s._id_at[start]] = start - 1
     before = _state(s)
     with pytest.raises(InvariantError):
         walk(s)
@@ -517,12 +520,13 @@ def test_one_walk_reads_refuse_a_stray_copy(start, walk):
 
 
 def test_remove_last_refuses_a_stray_id_copy():
-    # an equal pebble, but not the object stored at its start
+    # the id map puts the last pebble at a free start: the walk that
+    # remove_last shares with last_of_level refuses it in both
     s = _valid_state()
-    p = s._at[40]
-    s._peb[p.id] = Pebble(p.id, p.level, p.start)
+    s._start_of[s._id_at[40]] = 48
     before = _state(s)
-    assert s.last_of_level(3) == (p, None)  # reads only the copy at 40
+    with pytest.raises(InvariantError):
+        s.last_of_level(3)
     with pytest.raises(InvariantError):
         s.remove_last(3)
     assert _state(s) == before
@@ -550,15 +554,16 @@ def test_segment_scan_matches_pebble_scan_on_arbitrary_layouts():
 
 def _raw_situation(n, segs):
     """A Situation whose segment list is ``segs`` as given (unsorted,
-    overlapping, misaligned or past the tree end), with a consistent
-    pebble copy at each start."""
+    overlapping, misaligned or past the tree end), with inverse id maps
+    over its starts."""
     s = Situation(n)
     s._segs = list(segs)
     pid = 0
     for start, level, count in segs:
         for k in range(count):
             pid += 1
-            s._at[start + (k << level)] = s._peb[pid] = Pebble(pid, level, start + (k << level))
+            s._id_at[start + (k << level)] = pid
+            s._start_of[pid] = start + (k << level)
     return s
 
 
@@ -597,21 +602,19 @@ def _valid_state():
 
 
 def _stray_at_key(s):
-    s._at[12] = Pebble(99, 0, 12)  # a copy at a free start
+    s._id_at[12] = 99  # an id at a free start, with no inverse
 
 
 def _peb_outside(s):
-    p = s.pebble_at(24)
-    s._peb[p.id] = Pebble(p.id, 3, 64)  # past the tree's end
+    s._start_of[s._id_at[24]] = 64  # the id map puts it past the tree's end
 
 
 def _smaller_interior_copy(s):
-    p = s.pebble_at(24)
-    s._at[24] = s._peb[p.id] = Pebble(p.id, 2, 24)
+    s._start_of[s._id_at[24]] = 23  # the id map puts it at a smaller, unaligned start
 
 
 def _dropped_at_key(s):
-    del s._at[32]
+    del s._id_at[32]  # the id map still puts its pebble there
 
 
 def _segment_short_by_one(s):
@@ -648,7 +651,7 @@ def test_cross_check_finds_each_planted_corruption(corrupt):
 
 
 def test_validate_alone_misses_what_the_cross_check_finds():
-    # the segment walk reads no stored copy for a valid layout, so these
+    # the segment walk reads no stored id for a valid layout, so these
     # corruptions leave validate() clean: the cross-check is what sees them
     for corrupt in (_stray_at_key, _peb_outside, _smaller_interior_copy):
         s = _valid_state()
@@ -662,7 +665,7 @@ def test_validate_alone_misses_what_the_cross_check_finds():
 def test_checked_reads_refuse_a_stray_copy():
     s = _valid_state()
     _smaller_interior_copy(s)
-    victim = s._at[24].id
+    victim = s._id_at[24]
     for read in (
         lambda: s.pebble(victim),
         lambda: s.is_black(victim),
@@ -678,7 +681,7 @@ def test_checked_reads_refuse_a_stray_copy():
 
     s = _valid_state()
     last = s.pebble_at(40)
-    s._at[40] = Pebble(last.id, 2, 40)  # the id index keeps the true copy
+    s._id_at[40] = 77  # the start map holds an id the id map puts nowhere
     with pytest.raises(InvariantError):
         s.rightmost_of_level(3)
     with pytest.raises(InvariantError):
@@ -688,11 +691,11 @@ def test_checked_reads_refuse_a_stray_copy():
 
     s = _valid_state()
     _peb_outside(s)
-    moved = s._peb[s._at[24].id]
+    moved = s._id_at[24]
     with pytest.raises(InvariantError):
-        s.pebble(moved.id)
+        s.pebble(moved)
     with pytest.raises(InvariantError):
-        s.move_pebble(moved.id, 48)
+        s.move_pebble(moved, 48)
 
     s = _valid_state()
     _stray_at_key(s)
@@ -703,20 +706,20 @@ def test_checked_reads_refuse_a_stray_copy():
     assert s.pebble_at(13) is None
 
     s = _valid_state()
-    _segment_short_by_one(s)  # the copy at 40 is stored, but no segment holds it
+    _segment_short_by_one(s)  # the id at 40 is stored, but no segment holds it
     with pytest.raises(InvariantError):
         s.pebble_at(40)
     with pytest.raises(InvariantError):
-        s.pebble(s._at[40].id)
+        s.pebble(s._id_at[40])
     with pytest.raises(InvariantError):
-        s.remove_pebble(s._at[40].id)
+        s.remove_pebble(s._id_at[40])
 
 
 def test_violation_witnesses_are_read_checked():
-    # an invalid layout: its witnesses are read from the stored copies
+    # an invalid layout: its witnesses are read from the stored ids
     s, ids = build(4, [(4, 0), (1, 5), (2, 8)])
     assert any(ids[(1, 5)] in v.pebbles for v in s.validate())
-    s._at[5] = s._peb[ids[(1, 5)]] = Pebble(ids[(1, 5)], 1, 5)
+    s._start_of[ids[(1, 5)]] = 6  # the id map puts the witness elsewhere
     s._scan = None
     with pytest.raises(InvariantError):
         s.validate()
@@ -724,7 +727,7 @@ def test_violation_witnesses_are_read_checked():
 
 def _stored(s):
     """Every stored part of ``s`` but the kept scan, as bytes."""
-    return pickle.dumps((s.n, s.leaves, s._peb, s._at, s._segs, s._occupied, s._next_id))
+    return pickle.dumps((s.n, s.leaves, s._id_at, s._start_of, s._segs, s._occupied, s._next_id))
 
 
 def _reference_move(s, pid, new_start):
@@ -742,7 +745,7 @@ def _reference_move(s, pid, new_start):
 
 def _move(s, start, new_start, by_id):
     if by_id:
-        return s.move_pebble(s._at[start].id, new_start)
+        return s.move_pebble(s._id_at[start], new_start)
     return s.move_at(start, new_start)
 
 
@@ -796,10 +799,10 @@ def test_move_matches_a_remove_and_replace(by_id):
                 seen["refused " + (kind if kind != "other" else "not-free")] += 1
                 continue
             old = _move(c, start, new_start, by_id)
-            assert old is (None if by_id else pebble)
+            assert old == (None if by_id else pebble)
             c.cross_check()
             assert c._segs == ref._segs and c._occupied == ref._occupied
-            assert c._at == ref._at and c._peb == ref._peb
+            assert c._id_at == ref._id_at and c._start_of == ref._start_of
             assert c.pebble(pebble.id) == Pebble(pebble.id, level, new_start)
             _assert_scan_fresh(c)
             seen[kind] += 1
@@ -829,16 +832,22 @@ def test_move_refuses_a_stray_copy_and_changes_nothing(by_id):
     assert _reference_move(s, pebble.id, 48) is not None  # a rotation to the run's end
 
     def plant_at_target(c):
-        c._at[48] = Pebble(99, 3, 48)
-        return lambda: c._at.pop(48)
+        c._id_at[48] = 99
+        return lambda: c._id_at.pop(48)
 
     def plant_id_copy(c):
-        c._peb[pebble.id] = Pebble(pebble.id, 3, 16)  # equal, but not the stored object
-        return lambda: c._peb.__setitem__(pebble.id, pebble)
+        c._start_of[pebble.id] = 24  # the id map puts it elsewhere
+        return lambda: c._start_of.__setitem__(pebble.id, 16)
 
     def plant_start_copy(c):
-        c._at[16] = Pebble(pebble.id, 2, 16)
-        return lambda: c._at.__setitem__(16, pebble)
+        c._id_at[16] = 98  # the start map holds an id the id map puts at 24
+        c._start_of[98] = 24
+
+        def restore():
+            c._id_at[16] = pebble.id
+            del c._start_of[98]
+
+        return restore
 
     for plant in (plant_at_target, plant_id_copy, plant_start_copy):
         c = s.copy()
@@ -860,3 +869,124 @@ def test_move_refuses_a_stray_copy_and_changes_nothing(by_id):
     with pytest.raises(RequestError):
         c.move_pebble(999, 48)  # no pebble has that id
     assert _stored(c) == _stored(s)
+
+
+def _per_hop(s, lo, hi, right):
+    """``rotate_runs(lo, hi, right)`` as one ``move_at`` per hop, in its
+    order; returns the moves in segment order."""
+    segs = s.segments()
+    moved = []
+    for i in range(hi - 1, lo - 1, -1) if right else range(lo, hi):
+        first, level, count = segs[i]
+        if right:
+            src, dst = first, first + (count << level)
+        else:
+            src, dst = first + ((count - 1) << level), first - (1 << level)
+        moved.append((s.move_at(src, dst).id, Place(level, src), Place(level, dst)))
+    return moved[::-1] if right else moved
+
+
+def _rotation_states():
+    """The sorted layouts the baseline reaches on random traces at heights
+    2 to 10 and after every prefix of a height-8 cascade trace, then
+    arbitrary layouts, whose equal-level runs can merge."""
+    for trace in [gen_random_trace(n, 120, seed=300 + n, insert_ratio=0.6) for n in range(2, 11)] + [
+        gen_cascade_trace(8, 400)
+    ]:
+        s = Situation(trace.n)
+        yield s
+        for request in trace.requests:
+            (baseline_insert if request.kind == INSERT else baseline_delete)(s, request.level)
+            yield s
+    rng = random.Random(20075)
+    for _ in range(800):
+        yield _random_layout(rng)
+
+
+def test_rotate_runs_matches_the_per_hop_path():
+    rng = random.Random(20076)
+    seen = collections.Counter()
+    for s in _rotation_states():
+        count = len(s.segments())
+        blocks = [(lo, hi, right) for lo in range(count) for hi in range(lo + 1, count + 1) for right in (True, False)]
+        for lo, hi, right in rng.sample(blocks, min(len(blocks), 8)):
+            batched, hopped = s.copy(), s.copy()
+            try:
+                moved = _per_hop(hopped, lo, hi, right)
+            except InvariantError:
+                with pytest.raises(InvariantError):
+                    batched.rotate_runs(lo, hi, right)
+                assert _stored(batched) == _stored(s)
+                seen["refused"] += 1
+                continue
+            assert batched.rotate_runs(lo, hi, right) == moved
+            batched.cross_check()
+            assert batched.segments() == hopped.segments()
+            assert all(batched.pebble(p.id) == hopped.pebble(p.id) for p in s.pebbles())
+            merged = len(batched.segments()) < count
+            seen[("merged " if merged else "") + ("right" if right else "left")] += 1
+    assert all(seen[kind] > 50 for kind in ("refused", "right", "left", "merged right", "merged left")), seen
+
+
+def test_rotate_runs_refuses_with_nothing_changed():
+    # segments 2x4@0, 2@8, 4x8@16 and 8@56 at height 6
+    s = _valid_state()
+    s.place_pebble(3, 56)
+    top = s._id_at[16]
+
+    def stored_at_destination(c):
+        c._id_at[48] = 99  # where 4x8@16's first pebble goes
+
+    def no_inverse(c):
+        c._id_at[16] = 98
+
+    def inverse_elsewhere(c):
+        c._start_of[top] = 24
+
+    cases = [
+        (stored_at_destination, 2, 3, True),
+        (no_inverse, 2, 3, True),
+        (inverse_elsewhere, 1, 3, True),  # refused at the block's second run
+        (None, 0, 1, True),  # 2x4@0 would end at 12, past 2@8's start
+        (None, 0, 2, True),  # 2x4@0 would end at 12, past the rotated 2@10
+        (None, 2, 4, True),  # 8@56 would pass the tree's end
+        (None, 0, 1, False),  # 2x4@0 would start at -4
+        (None, 1, 2, False),  # 2@6 would overlap 2x4@0
+    ]
+    for plant, lo, hi, right in cases:
+        c = s.copy()
+        if plant is not None:
+            s.copy().rotate_runs(lo, hi, right)  # the same rotation, unplanted, is fine
+            plant(c)
+        before = _stored(c)
+        with pytest.raises(InvariantError):
+            c.rotate_runs(lo, hi, right)
+        assert _stored(c) == before, (plant, lo, hi, right)
+
+
+def test_every_entry_point_refuses_a_height_above_the_bound():
+    # each refuses before sizing anything by the height: a list of one
+    # entry per level (1,026 of them, over 8 KiB) would pass the 4 KiB peak
+    n = MAX_TREE_HEIGHT + 1
+    message = f"height must be <= {MAX_TREE_HEIGHT}, got {n}"
+    calls = [
+        lambda: check_height(n),
+        lambda: Situation(n),
+        lambda: exhaustive_verify(n, 1),
+        lambda: gen_random_trace(n, 1, seed=1, insert_ratio=0.5),
+        lambda: gen_cascade_trace(n, 1),
+        lambda: parse_trace(f"n={n}\nI 0\n"),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises((ValueError, TraceError)) as info:
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value).endswith(message)
+        assert peak < 4096, (str(info.value), peak)
+    check_height(MAX_TREE_HEIGHT)
+    with pytest.raises(ValueError, match="^height must be >= 0, got -1$"):
+        check_height(-1)

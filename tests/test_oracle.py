@@ -12,7 +12,7 @@ from ovsfalloc import allocator, oracle
 from ovsfalloc.allocator import apply
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
-from ovsfalloc.model import Pebble, Place, RequestError, Situation
+from ovsfalloc.model import Place, RequestError, Situation
 from ovsfalloc.oracle import (
     canput_oracle,
     exhaustive_verify,
@@ -333,18 +333,19 @@ def _bump_occupied(s):
 
 
 def _drop_id(s):
-    del s._peb[s.pebbles()[-1].id]
+    del s._start_of[s.pebbles()[-1].id]
 
 
 def _misplace_last(s):
-    # both pebble indexes agree on a pebble the segment list does not hold
+    # both id maps agree on a start the segment list does not hold
     last = s.pebbles()[-1]
-    s._at[last.start] = s._peb[last.id] = Pebble(last.id, last.level, last.start + 1)
+    del s._id_at[last.start]
+    s._id_at[last.start + 1] = last.id
+    s._start_of[last.id] = last.start + 1
 
 
 def _stray_at_key(s):
-    start = s.first_free_place(0).start
-    s._at[start] = Pebble(10**6, 0, start)
+    s._id_at[s.first_free_place(0).start] = 10**6
 
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["first", "repeat"])

@@ -11,7 +11,7 @@ import pytest
 from ovsfalloc import cli, coins, layout, model
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
-from ovsfalloc.model import InvariantError, Pebble, Situation
+from ovsfalloc.model import InvariantError, Situation
 from ovsfalloc.render import render
 from ovsfalloc.replay import ReplayError, replay
 from ovsfalloc.workloads import (
@@ -206,24 +206,22 @@ REPLAY = importlib.import_module("ovsfalloc.replay")
 
 
 def _plant_stray_at_key(s):
-    start = s.first_free_place(0).start
-    s._at[start] = Pebble(10**6, 0, start)
+    s._id_at[s.first_free_place(0).start] = 10**6
 
 
 def _plant_peb_outside_the_tree(s):
-    pid = s.pebbles()[-1].id
-    s._peb[pid] = Pebble(pid, 1, s.leaves + 18)  # 2@4114 at height 12
+    s._start_of[s.pebbles()[-1].id] = s.leaves + 18  # 4114 at height 12
 
 
 def _plant_smaller_interior_copy(s):
+    # the id map puts an interior pebble one leaf short of its start
     first, level, count = next(seg for seg in s.segments() if seg[1] and seg[2] > 1)
     start = first + (1 << level)
-    pid = s.pebble_at(start).id
-    s._at[start] = s._peb[pid] = Pebble(pid, level - 1, start)
+    s._start_of[s._id_at[start]] = start - 1
 
 
 def _plant_dropped_id(s):
-    del s._peb[s.pebbles()[-1].id]
+    del s._start_of[s.pebbles()[-1].id]
 
 
 def _plant_short_segment(s):
@@ -462,10 +460,10 @@ def test_python_dash_m_runs_the_cli():
 def test_cli_rejects_negative_heights(tmp_path, capsys):
     trace = _write(tmp_path, "neg.trace", "# comment\nn=-1\nI 0\n")
     assert main(["run", trace]) == 2
-    assert capsys.readouterr().err == "error: line 2: negative height -1\n"
+    assert capsys.readouterr().err == "error: line 2: height must be >= 0, got -1\n"
     snap = _write(tmp_path, "neg.snap", "n=-2\n")
     assert main(["render", snap]) == 2
-    assert capsys.readouterr().err == "error: line 1: negative height -2\n"
+    assert capsys.readouterr().err == "error: line 1: height must be >= 0, got -2\n"
 
 
 def test_cli_render_refuses_a_tall_tree(tmp_path, capsys):
@@ -585,7 +583,7 @@ def test_cli_refuses_a_trace_above_the_height_bound(tmp_path, capsys, command):
     assert main([command, path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 1: height 1000000000 is above 1024\n"
+    assert captured.err == "error: line 1: height must be <= 1024, got 1000000000\n"
 
 
 def test_cli_gen_cascade_rejects_by_id(tmp_path, capsys):

@@ -43,7 +43,7 @@ def test_header_refuses_a_height_above_the_bound():
     assert parse_trace(f"n={MAX_TREE_HEIGHT}\nI 0\n").n == MAX_TREE_HEIGHT
     with pytest.raises(TraceError) as info:
         parse_trace(f"n={MAX_TREE_HEIGHT + 1}\nI 0\n")
-    assert str(info.value) == f"line 1: height {MAX_TREE_HEIGHT + 1} is above {MAX_TREE_HEIGHT}"
+    assert str(info.value) == f"line 1: height must be <= {MAX_TREE_HEIGHT}, got {MAX_TREE_HEIGHT + 1}"
     assert info.value.line == 1
 
 
@@ -141,7 +141,7 @@ def test_inadmissible_trace_error_carries_line_and_index():
         (lambda: gen_cascade_trace(5, -3), "request count m must be >= 0, got -3"),
         (lambda: gen_cascade_trace(-1, 5), "cascade trace needs height >= 2, got -1"),
         (lambda: gen_random_trace(3, -5, 1, 0.5), "request count m must be >= 0, got -5"),
-        (lambda: gen_random_trace(-1, 5, 1, 0.5), "height n must be >= 0, got -1"),
+        (lambda: gen_random_trace(-1, 5, 1, 0.5), "height must be >= 0, got -1"),
     ],
 )
 def test_generators_reject_negative_sizes(make, message):
