@@ -11,7 +11,7 @@ from .allocator import (
     insert,
 )
 from .baseline import baseline_delete, baseline_delete_by_id, baseline_insert
-from .coins import CoinLedger, required_coins
+from .coins import CoinLedger
 from .model import (
     AllocationError,
     BandwidthError,
@@ -22,7 +22,7 @@ from .model import (
     Situation,
     Violation,
 )
-from .oracle import canput_oracle, exhaustive_verify, structural_failures
+from .oracle import exhaustive_verify, structural_failures
 from .render import render
 from .replay import ReplayError, RunStats, replay
 from .workloads import (
@@ -54,7 +54,6 @@ __all__ = [
     "baseline_delete",
     "baseline_delete_by_id",
     "baseline_insert",
-    "canput_oracle",
     "delete_by_id",
     "delete_last",
     "exhaustive_verify",
@@ -64,7 +63,6 @@ __all__ = [
     "parse_trace",
     "render",
     "replay",
-    "required_coins",
     "serialize_trace",
     "structural_failures",
 ]

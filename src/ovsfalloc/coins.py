@@ -43,14 +43,6 @@ from .model import InvariantError, Place, Situation, Violation
 DEFAULT_BUDGET = 4  # fresh coins per request above which a finding is reported
 
 
-def required_coins(p: int, x: int) -> int:
-    """P4 requirement for a free place of size ``p`` and smallest right
-    pebble of size ``x``: ``floor(2p / x)``."""
-    if p <= 0 or p & (p - 1) or x <= 0 or x & (x - 1):
-        raise ValueError(f"sizes must be powers of two, got p={p} x={x}")
-    return (2 * p) // x
-
-
 def run_potential(start: int, end: int, x_level: int, cap_level: int) -> int:
     """Φ of the free run ``[start, end)`` whose smallest right pebble has
     level ``x_level``: every place of the run sees the same pebble.

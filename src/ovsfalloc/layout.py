@@ -5,20 +5,16 @@ A *place* of level ``l`` is an aligned leaf interval
 of contiguous equal-size pebbles, the form :class:`~ovsfalloc.model.Situation`
 stores, and finds in one pass every P1/P2/P3, alignment and overlap breach
 (see the ``model`` module for the properties) and the maximal free runs
-that the coin audit recounts.  :func:`scan_pebbles` is the same walk over
-a plain pebble list.  The scan follows every checked request, so it keeps
-its state in local scalars and builds no value for a check that passes;
-hot paths build a ``Place`` as ``tuple.__new__(Place, (level, start))``,
-without the NamedTuple's Python-level ``__new__``.
+that the coin audit recounts.  The scan follows every checked request, so
+it keeps its state in local scalars and builds no value for a check that
+passes; hot paths build a ``Place`` as ``tuple.__new__(Place, (level,
+start))``, without the NamedTuple's Python-level ``__new__``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
-
-if TYPE_CHECKING:
-    from .model import Pebble
+from typing import NamedTuple
 
 
 class Place(NamedTuple):
@@ -78,21 +74,9 @@ class PebbleScan(NamedTuple):
     runs: tuple[tuple[int, int, int | None], ...]
 
 
-def scan_pebbles(seq: Iterable[Pebble], leaves: int) -> PebbleScan:
-    """One pass over ``seq``, position ordered pebbles over ``leaves``
-    positions: every breach (see :class:`PebbleScan`) and the free runs.
-
-    Each pebble is a run of one for :func:`scan_runs`, and carries its own
-    id, so a list may repeat a start.
-    """
-    seq = list(seq)
-    return scan_runs([(p.start, p.level, 1) for p in seq], leaves, lambda i, k: seq[i].id)
-
-
 def scan_runs(runs, leaves: int, witness) -> PebbleScan:
     """One pass over ``runs``, each ``(start, level, count)``: ``count``
-    contiguous pebbles of ``level``, the first at ``start``.  The result is
-    :func:`scan_pebbles` of the pebbles the runs hold, in order.
+    contiguous pebbles of ``level``, the first at ``start``, in start order.
     ``witness(i, k)``, the id of pebble ``k`` of run ``i``, is called only
     for a breach that names that pebble.
 

@@ -577,9 +577,9 @@ class Situation:
         return last_black
 
     def pebble_scan(self) -> PebbleScan:
-        """The :func:`scan_pebbles` result of the current pebbles, walked
-        over the segments, O(segments), at most once between two
-        mutations; a witness id is read, checked, only for a breach."""
+        """The :func:`~ovsfalloc.layout.scan_runs` result of the segments,
+        O(segments), at most once between two mutations; a witness id is
+        read, checked, only for a breach."""
         scan = self._scan
         if scan is None:
             scan = self._scan = scan_runs(self._segs, self.leaves, self._witness)

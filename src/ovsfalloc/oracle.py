@@ -44,7 +44,7 @@ from .allocator import (
     SHUFFLE_BLACK, SHUFFLE_WHITE, Request, apply,
 )
 from .coins import DEFAULT_BUDGET, CoinLedger
-from .model import AllocationError, InvariantError, Pebble, Place, RequestError, Situation
+from .model import AllocationError, InvariantError, Pebble, Place, Situation
 from .model import check_height
 
 INSERT_BRANCHES = (PLACE_DIRECT, PLACE_OVER_SMALL, ROTATE_PAIR, SHUFFLE_WHITE, SHUFFLE_BLACK)
@@ -174,34 +174,6 @@ def _free_until(gaps: list[tuple[int, int, int, int]], pos: int) -> int:
         return 0
     lo, hi, free, _ = gaps[g]
     return free + (hi if hi < pos else pos) - lo
-
-
-def canput_oracle(s: Situation, level: int) -> bool:
-    """Exhaustive scan: does any aligned free place of ``level`` exist?"""
-    return scan_first_free_place(s, level) is not None
-
-
-def scan_first_free_place(s: Situation, level: int) -> Place | None:
-    if level < 0:
-        raise RequestError(f"level {level} is negative")
-    if level > s.n:
-        return None  # no place of ``level`` fits in the tree
-    found = _scan(s).first_free[level]
-    return None if found is None else Place(*found[0])
-
-
-def scan_free_before(s: Situation, pos: int) -> int:
-    if not 0 <= pos <= s.leaves:
-        raise RequestError(f"position {pos} out of [0, {s.leaves}]")
-    return _free_until(_scan(s).gaps, pos)
-
-
-def scan_closing_position(s: Situation, level: int) -> int | None:
-    if level < 0:
-        raise RequestError(f"level {level} is negative")
-    if level > s.n:
-        return None  # no pebble of ``level`` or bigger fits in the tree
-    return _scan(s).closing[level]
 
 
 # ----------------------------------------------------------------------

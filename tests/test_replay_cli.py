@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ovsfalloc import cli, coins, layout, model
+from ovsfalloc import cli, coins, model
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
 from ovsfalloc.model import InvariantError, Situation
@@ -291,7 +291,7 @@ def test_checked_replay_walks_the_pebbles_once(monkeypatch):
     # validate reads the segments: the only O(pebbles) walk of a checked
     # replay is its final cross-check, which reads the stored copies in its
     # own segment walk, and a valid layout reads no witness
-    calls = {"pebbles": 0, "cross_check": 0, "scan_pebbles": 0, "witness": 0}
+    calls = {"pebbles": 0, "cross_check": 0, "witness": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -303,10 +303,9 @@ def test_checked_replay_walks_the_pebbles_once(monkeypatch):
     monkeypatch.setattr(Situation, "pebbles", counted("pebbles", Situation.pebbles))
     monkeypatch.setattr(Situation, "cross_check", counted("cross_check", Situation.cross_check))
     monkeypatch.setattr(Situation, "_witness", counted("witness", Situation._witness))
-    monkeypatch.setattr(layout, "scan_pebbles", counted("scan_pebbles", layout.scan_pebbles))
     res = replay(_checked12_trace(), validate_each=True)
     assert res.stats.m == 2000
-    assert calls == {"pebbles": 0, "cross_check": 1, "scan_pebbles": 0, "witness": 0}
+    assert calls == {"pebbles": 0, "cross_check": 1, "witness": 0}
 
 
 def test_stat_lines_deterministic_and_exclude_wall_time():
