@@ -115,6 +115,45 @@ def _per_pebble_scan(seq, leaves):
     return scan_runs([(p.start, p.level, 1) for p in seq], leaves, lambda i, k: seq[i].id)
 
 
+def _random_pebble_list(rng):
+    """Up to ten pebbles of levels 0-3 at starts 0-24, in position order,
+    most of them misaligned, overlapping or breaking P1-P3."""
+    seq = [
+        Pebble(pid, rng.randrange(4), rng.randrange(25))
+        for pid in range(1, rng.randrange(10) + 1)
+    ]
+    return sorted(seq, key=lambda p: p.start)
+
+
+def test_validate_matches_three_pass_reference():
+    # ``reference.violations`` judges the own breaches, P2 and P3 in three
+    # passes; over 32 leaves every violation kind and their order at a
+    # shared start are exercised, and over 16 the lists cross the tree's end
+    rng = random.Random(20071)
+    kinds = set()
+    mixed = 0  # lists with an own breach and a P2/P3 breach at one start
+    for _ in range(20_000):
+        seq = _random_pebble_list(rng)
+        for leaves in (16, 32):
+            expected = reference.violations(seq, leaves)
+            assert list(_per_pebble_scan(seq, leaves).violations) == expected, seq
+        kinds.update(v.kind for v in expected)
+        at = {}
+        for v in expected:
+            at.setdefault(v.place.start, set()).add(v.kind in ("P2", "P3"))
+        mixed += any(len(sides) == 2 for sides in at.values())
+    assert kinds == {"alignment", "overlap", "P1", "P2", "P3"}
+    assert mixed > 1000
+
+
+def test_scan_runs_match_reference():
+    rng = random.Random(20072)
+    for _ in range(5_000):
+        seq = _random_pebble_list(rng)
+        for leaves in (16, 32):
+            assert _per_pebble_scan(seq, leaves).runs == reference.free_runs(seq, leaves), seq
+
+
 def _assert_scan_fresh(s):
     fresh = _per_pebble_scan(s.pebbles(), s.leaves)
     assert s.validate() == list(fresh.violations)

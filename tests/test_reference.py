@@ -1,12 +1,12 @@
 """The program against the per-leaf reference of ``reference.py``.
 
-The run scan behind ``validate`` is compared on raw run lists, and every
-other answer (``validate``, the structural oracle and the fields of its
-scan, Φ and the P4 audit, the situation's queries) on every state of the
-n=3, 4 and 5 closures, on every layout of disjoint aligned places up to
-height 3 and on random situations; ``test_oracle`` adds the states of
-random traces, and ``test_model`` random layouts built by moves.  The
-planted query faults must be flagged by ``structural_failures``, in the
+Every answer (``validate``, the structural oracle and the fields of its
+scan, Φ and the P4 audit, the situation's queries) is compared on every
+state of the n=3, 4 and 5 closures, on every layout of disjoint aligned
+places up to height 3 and on random situations; ``test_oracle`` adds the
+states of random traces, ``test_model`` random layouts built by moves,
+and ``test_scan_reference`` the run scan on raw run lists.  The planted
+query faults must be flagged by ``structural_failures``, in the
 reference's words.
 """
 
@@ -19,58 +19,8 @@ import pytest
 import reference
 from ovsfalloc import oracle
 from ovsfalloc.coins import CoinLedger, potential
-from ovsfalloc.layout import scan_runs
-from ovsfalloc.model import Pebble, Place, Situation
+from ovsfalloc.model import Place, Situation
 from ovsfalloc.oracle import _free_until, _scan, exhaustive_verify, structural_failures
-
-
-def _raw_runs(rng, leaves):
-    """A run list no mutator builds: most runs follow the one before at
-    an aligned start, some after a gap, the rest land anywhere, so lists
-    overlap, are misaligned or run past the tree's end.  The list is put
-    in start order, the only order a ``Situation`` keeps."""
-    runs = []
-    end = 0
-    for _ in range(rng.randrange(8)):
-        level = rng.randrange(4)
-        size = 1 << level
-        if rng.random() < 0.6:
-            start = -(-end // size) * size + size * rng.choice((0, 0, 0, 1, 2))
-        else:
-            start = rng.randrange(leaves + 4)
-        count = rng.randint(1, 5)
-        runs.append((start, level, count))
-        end = max(end, start + (count << level))
-    return sorted(runs, key=lambda run: run[0])
-
-
-def _witness(i, k):
-    return 100 * (i + 1) + k
-
-
-def test_scan_matches_reference_on_raw_run_lists():
-    rng = random.Random(20075)
-    kinds = set()
-    clean = mixed = 0
-    for _ in range(20_000):
-        for leaves in (16, 32):
-            runs = _raw_runs(rng, leaves)
-            pebs = [
-                Pebble(_witness(i, k), level, start + (k << level))
-                for i, (start, level, count) in enumerate(runs)
-                for k in range(count)
-            ]
-            expected = reference.scan(pebs, leaves)
-            assert scan_runs(runs, leaves, _witness) == expected, (runs, leaves)
-            kinds.update(v.kind for v in expected.violations)
-            clean += not expected.violations and any(count > 1 for _, _, count in runs)
-            at = {}  # an own breach and a P2/P3 breach at one start
-            for v in expected.violations:
-                at.setdefault(v.place.start, set()).add(v.kind in ("P2", "P3"))
-            mixed += any(len(sides) == 2 for sides in at.values())
-    assert kinds == {"alignment", "overlap", "P1", "P2", "P3"}
-    assert clean > 1000  # valid lists with runs judged in one step
-    assert mixed > 1000
 
 
 def agrees(s: Situation) -> bool:
