@@ -5,6 +5,16 @@ Both procedures mutate the situation in place and return a
 reassignment as (id, old place, new place), the removed pebble and the
 number of compaction iterations a deletion performed.
 
+A request works on the situation's segment list by index: one walk
+finds the insert site (with its left pebble and that pebble's color),
+the delete's victim or a filler, and the request rewrites only what it
+touches at that index.  A direct insert is one O(1) placement; the
+rotate and shuffle arms compute the new places of the window's pebbles
+and splice them in once; a deletion carries its gap as a segment index,
+so its fit test and its swap test read neighbouring segments, and a
+by-id delete resolves its id once.  Every id it reads or logs is read
+checked; a :class:`~ovsfalloc.layout.Place` is built only for the log.
+
 Admissibility errors (bad level, insufficient bandwidth, missing pebble)
 are raised before anything is mutated, so a rejected request leaves the
 situation bit-identical; ``admit_insert`` and ``take_last`` hold these
@@ -19,15 +29,12 @@ of this source, each named in :data:`ovsfalloc.oracle.MUTANTS`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .model import (
-    BandwidthError,
-    InvariantError,
-    Pebble,
-    Place,
-    RequestError,
-    Situation,
-)
+from .layout import closing, last, site
+from .model import BandwidthError, InvariantError, Place, RequestError, Situation
+
+_at = partial(tuple.__new__, Place)  # _at((level, start)): a Place, no NamedTuple __new__ call
 
 INSERT = "insert"
 DELETE_LEVEL = "delete_level"
@@ -95,82 +102,75 @@ def insert(s: Situation, level: int) -> MoveLog:
     repair it.
     """
     a = admit_insert(s, level)
-    site = s.insert_site(level)
-    if site is None:
-        raise InvariantError(
-            "no free place despite sufficient bandwidth; input situation invalid"
-        )
-    start, left, black = site
-    log = MoveLog(INSERT, level=level)
-    if black:
-        new = s.place_pebble(level, start)
-        log.placed = (new.id, new.place)
-        log.branch = PLACE_DIRECT
-        return log
+    segs = s._segs
+    found = site(segs, s.leaves, level)
+    if found is None:
+        raise InvariantError("no free place despite sufficient bandwidth; input situation invalid")
+    i, start, black = found
+    if i:  # b, the pebble left of the place, ends segment i - 1
+        first, b_level, count = segs[i - 1]
+        b_start = first + ((count - 1) << b_level)
+        b_id = s._id(b_start)
+    if not black:  # c: the pebble before the white b, and where it ends
+        if count > 1:
+            c_level, c_end = b_level, b_start
+        elif i > 1:
+            first, c_level, count = segs[i - 2]
+            c_end = first + (count << c_level)
+        else:
+            raise InvariantError("white pebble without left neighbor; input invalid")
+    if black or 1 << c_level < a:
+        pid = s._place(i, level, start)
+        branch = PLACE_DIRECT if black else PLACE_OVER_SMALL
+        return MoveLog(INSERT, level, (pid, _at((level, start))), [], None, None, 0, 0, branch)
 
-    b = left  # white neighbor of the target place
-    c = s.pebble_before(b.start)
-    if c is None:
-        raise InvariantError("white pebble without left neighbor; input invalid")
-
-    if c.size < a:
-        new = s.place_pebble(level, start)
-        log.placed = (new.id, new.place)
-        log.branch = PLACE_OVER_SMALL
-        return log
-
-    if c.size == a:
+    b_size = 1 << b_level
+    if 1 << c_level == a:
         # rotate: new pebble right after the backing black, old white after it
-        s.remove_pebble(b.id)
-        new = s.place_pebble(level, c.end)
-        s.place_pebble(b.level, new.end, pid=b.id)
-        log.placed = (new.id, new.place)
-        log.moved.append((b.id, b.place, tuple.__new__(Place, (b.level, new.end))))
-        log.branch = ROTATE_PAIR
-        return log
+        pid = s._splice((i - 1, b_start, b_start + b_size,
+                         [(None, level, None, c_end), (b_id, b_level, b_start, c_end + a)]))
+        moved = [(b_id, _at((b_level, b_start)), _at((b_level, c_end + a)))]
+        return MoveLog(INSERT, level, (pid, _at((level, c_end))), moved, None, None, 0, 0,
+                       ROTATE_PAIR)
 
     # c > a: shuffle around the closing position
-    s.remove_pebble(b.id)
-    renamed = a < b.size
-    big_level = b.level if renamed else level
-    small_level = level if renamed else b.level
+    renamed = a < b_size
+    big_level = b_level if renamed else level
+    small_level = level if renamed else b_level
     big = 1 << big_level
-    cp = s.closing_position(big_level)
-    if cp is None:
+    found = closing(segs, big_level)
+    if found is None:
         raise InvariantError("no closing position; input situation invalid")
-    d = s.pebble_at(cp)
-    if d is None:
-        raise InvariantError(f"no pebble at closing position {cp}; input invalid")
+    j, cp, top = found  # d, the pebble at cp, starts segment j
+    if j >= i or segs[j][0] != cp or cp == b_start:
+        raise InvariantError(f"no pebble at closing position {cp} before {b_start}; input invalid")
+    d_id, (_, d_level, count) = s._id(cp), segs[j]
+    d_end = cp + (1 << d_level)
 
     # the white pebble's original slot (== the place right after its backer)
     # goes to a black closing pebble ``d`` (the appendix placement), else to
     # the right neighbour ``e`` of a white ``d``, which moves past the pair
-    e = None
-    if not s.is_black(d.id):
-        e = s.pebble_after(d.start)
-        if e is None:
-            raise InvariantError("white closing pebble without right neighbor")
-    s.remove_pebble(d.id)
-    if e is not None:
-        s.remove_pebble(e.id)
     if renamed:
-        s.place_pebble(big_level, cp, pid=b.id)
-        new = s.place_pebble(small_level, cp + big)
+        pair = [(b_id, b_level, b_start, cp), (None, level, None, cp + big)]
     else:
-        new = s.place_pebble(big_level, cp)
-        s.place_pebble(small_level, cp + big, pid=b.id)
-    d_start = b.start if e is None else cp + big + (1 << small_level)
-    s.place_pebble(d.level, d_start, pid=d.id)
-    if e is not None:
-        s.place_pebble(e.level, b.start, pid=e.id)
-    log.placed = (new.id, new.place)
-    log.moved.append((b.id, b.place, tuple.__new__(Place, (b.level, cp if renamed else cp + big))))
-    log.moved.append((d.id, d.place, tuple.__new__(Place, (d.level, d_start))))
-    if e is not None:
-        log.moved.append((e.id, e.place, tuple.__new__(Place, (e.level, b.start))))
-    log.branch = SHUFFLE_BLACK if e is None else SHUFFLE_WHITE
-    log.renamed = renamed
-    return log
+        pair = [(None, level, None, cp), (b_id, b_level, b_start, cp + big)]
+    d_black = top <= d_level  # rule C: no segment before d's has a bigger level
+    if d_black:
+        d_start, head_end, tail = b_start, d_end, (d_id, d_level, cp, b_start)
+    else:
+        e_start, e_level = (d_end, d_level) if count > 1 else segs[j + 1][:2]
+        if e_start >= b_start:
+            raise InvariantError("white closing pebble without right neighbor")
+        d_start = cp + big + (1 << small_level)
+        pair.append((d_id, d_level, cp, d_start))
+        head_end, tail = e_start + (1 << e_level), (s._id(e_start), e_level, e_start, b_start)
+    pid = s._splice((j, cp, head_end, pair), (i - 1, b_start, b_start + b_size, [tail]))
+    moved = [(b_id, _at((b_level, b_start)), _at((b_level, cp if renamed else cp + big))),
+             (d_id, _at((d_level, cp)), _at((d_level, d_start)))]
+    if not d_black:
+        moved.append((tail[0], _at((tail[1], tail[2])), _at((tail[1], b_start))))
+    return MoveLog(INSERT, level, (pid, _at((level, cp + big if renamed else cp))), moved,
+                   None, None, 0, 0, SHUFFLE_BLACK if d_black else SHUFFLE_WHITE, renamed)
 
 
 def delete_last(s: Situation, level: int) -> MoveLog:
@@ -180,51 +180,59 @@ def delete_last(s: Situation, level: int) -> MoveLog:
     to its right; each iteration pushes the gap rightward until nothing
     remains to its right or the candidate no longer fits.
     """
-    victim, x_level = take_last(s, level)
-    log = MoveLog(DELETE_LEVEL, level=level)
-    log.removed = victim.id
-    gap = victim.start
+    g, removed, gap, x_level = take_last(s, level)
+    segs, leaves = s._segs, s.leaves
 
-    # ``x_level`` is the least level right of the gap.  The filler is the
-    # last pebble of that level, so the walk that finds it also yields the
-    # least level right of its source, the next gap: nothing there moves.
-    first_seen: dict[int, Place] = {}  # insertion order is the order of first moves
-    while True:
-        if x_level is None:
-            log.branch = EXIT_END
-            break
+    # ``x_level`` is the least level right of the gap, and segment ``g`` is
+    # the first past it.  The filler is the last pebble of that level, so
+    # the walk that finds it also yields the least level right of its
+    # source, the next gap: nothing there moves.
+    first_seen: dict[int, tuple[int, int]] = {}  # id -> (level, start) before; order of first moves
+    now: dict[int, int] = {}  # id -> start, of each moved pebble
+    iterations = swaps = 0
+    branch = EXIT_END
+    while x_level is not None:
         x = 1 << x_level
-        if not s.block_free(x_level, gap):
-            log.branch = EXIT_NO_FIT
+        if gap & (x - 1) or gap + x > leaves or (g < len(segs) and segs[g][0] < gap + x):
+            branch = EXIT_NO_FIT
             break
-        found = s.last_of_level(x_level)
-        if found is None or found[0].start <= gap:
+        found = last(segs, x_level)
+        if found is not None:
+            i, next_level = found
+            first, _, count = segs[i]
+            source = first + ((count - 1) << x_level)
+        if found is None or source <= gap:
             raise InvariantError(f"no level-{x_level} pebble right of gap {gap}")
-        mover, next_level = found
-        source = mover.start
-        s.move_at(source, gap)
-        first_seen.setdefault(mover.id, mover.place)
-        log.iterations += 1
-        q = s.pebble_before(gap)
-        if q is not None and not s.is_black(q.id):
-            w = s.pebble_before(q.start)
-            if w is not None and w.level == x_level:
+        pid = s._id(source)
+        after = len(segs) - i - 1  # the segments past the source, which stay
+        first_seen.setdefault(pid, (x_level, source))
+        iterations += 1
+        now[pid] = gap
+        q_level = segs[g - 1][1] if g else -1  # q: the pebble before the gap
+        if g and any(seg[1] > q_level for seg in segs[: g - 1]):
+            first, _, count = segs[g - 1]
+            w_level = q_level if count > 1 else segs[g - 2][1]  # w: the pebble before q
+            if w_level == x_level:
                 # swap the filler with the white pebble it would trap
-                if gap - q.start != x:
+                q_start = first + ((count - 1) << q_level)
+                if gap - q_start != x:
                     raise InvariantError("swap geometry broken; input invalid")
-                q_start = q.start
-                s.remove_pebble(q.id)
-                s.move_at(gap, q_start)
-                s.place_pebble(q.level, gap, pid=q.id)
-                first_seen.setdefault(q.id, q.place)
-                log.swaps += 1
-        gap, x_level = source, next_level
+                q_id = s._id(q_start)
+                first_seen.setdefault(q_id, (q_level, q_start))
+                swapped = [(pid, x_level, source, q_start), (q_id, q_level, q_start, gap)]
+                s._splice((g - 1, q_start, gap, swapped), (i, source, source + x, []))
+                now[pid], now[q_id] = q_start, gap
+                swaps += 1
+        if now[pid] == gap:  # no swap: the filler lands in the gap
+            s._drop_last(i, source, pid)
+            s._place(g, x_level, gap, pid)
+        gap, g, x_level = source, len(segs) - after, next_level
 
-    for pid, old in first_seen.items():  # every moved pebble is still live
-        new = s.pebble(pid).place
-        if old != new:
-            log.moved.append((pid, old, new))
-    return log
+    moved = []
+    for pid, (lv, old) in first_seen.items():  # every moved pebble is still live
+        if now[pid] != old:
+            moved.append((pid, _at((lv, old)), _at((lv, now[pid]))))
+    return MoveLog(DELETE_LEVEL, level, None, moved, removed, None, iterations, swaps, branch)
 
 
 def delete_by_id(s: Situation, pid: int) -> MoveLog:
@@ -233,32 +241,35 @@ def delete_by_id(s: Situation, pid: int) -> MoveLog:
     The rightmost pebble of the same level is physically removed; if that
     was a different pebble, its code is handed over to the requested one,
     so the requested identity disappears without an extra reassignment.
+    The id is resolved, checked, once.
     """
-    return hand_over(s, pid, delete_last(s, s.pebble(pid).level))
-
-
-def _check_level(s: Situation, level: int) -> None:
-    if not 0 <= level <= s.n:
-        raise RequestError(f"level {level} out of [0, {s.n}]")
+    return hand_over(s, pid, delete_last(s, s._by_id(pid)[2]))
 
 
 def admit_insert(s: Situation, level: int) -> int:
     """The size of an insert at ``level``, checked to fit the free bandwidth."""
-    _check_level(s, level)
+    if not 0 <= level <= s.n:
+        raise RequestError(f"level {level} out of [0, {s.n}]")
     size, free = 1 << level, s.total_free_bandwidth()
     if size > free:
         raise BandwidthError(f"size {size} exceeds free bandwidth {free}")
     return size
 
 
-def take_last(s: Situation, level: int) -> tuple[Pebble, int | None]:
-    """``s.remove_last(level)``, checked: the level's last pebble, removed,
+def take_last(s: Situation, level: int) -> tuple[int, int, int, int | None]:
+    """``s.remove_last(level)``, checked, on segment indices: the index of
+    the first segment past the removed pebble's place, its id, its start,
     and the least level right of it or None."""
-    _check_level(s, level)
-    removed = s.remove_last(level)
-    if removed is None:
+    if not 0 <= level <= s.n:
+        raise RequestError(f"level {level} out of [0, {s.n}]")
+    found = last(s._segs, level)
+    if found is None:
         raise RequestError(f"no pebble of level {level}")
-    return removed
+    i, low = found
+    first, _, count = s._segs[i]
+    start = first + ((count - 1) << level)
+    pid = s._id(start)
+    return s._drop_last(i, start, pid), pid, start, low
 
 
 def hand_over(s: Situation, pid: int, log: MoveLog) -> MoveLog:
@@ -266,10 +277,8 @@ def hand_over(s: Situation, pid: int, log: MoveLog) -> MoveLog:
     another pebble was removed, its code passes to ``pid``'s pebble."""
     log.kind = DELETE_ID
     if log.removed != pid:
-        survivor = log.removed
-        s.relabel_pebble(pid, survivor)
-        log.relabel = (pid, survivor)
-        log.removed = pid
+        s.relabel_pebble(pid, log.removed)
+        log.relabel, log.removed = (pid, log.removed), pid
     return log
 
 

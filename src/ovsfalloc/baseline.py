@@ -29,7 +29,7 @@ from bisect import bisect_right
 from operator import itemgetter
 
 from .allocator import DELETE_LEVEL, INSERT, MoveLog, admit_insert, hand_over, take_last
-from .model import InvariantError, Situation
+from .model import InvariantError, Place, Situation
 
 _LEVEL = itemgetter(1)
 
@@ -48,15 +48,13 @@ def baseline_insert(s: Situation, level: int) -> MoveLog:
     if target + (1 << lv) > s.leaves:
         raise InvariantError("sorted layout overflow; baseline state corrupt")
     moved = s.rotate_runs(i, j, True)  # each run's first pebble to its end, logged bottom up
-    new = s.place_pebble(level, slot)
-    log = MoveLog(INSERT, level=level, placed=(new.id, new.place), branch="baseline-insert")
-    log.moved = moved
-    return log
+    pid = s._place(i, level, slot)  # between runs[i - 1] and the rotated runs[i]
+    placed = (pid, Place(level, slot))
+    return MoveLog(INSERT, level, placed, moved, None, None, 0, 0, "baseline-insert")
 
 
 def baseline_delete(s: Situation, level: int) -> MoveLog:
-    victim = take_last(s, level)[0]
-    log = MoveLog(DELETE_LEVEL, level=level, removed=victim.id, branch="baseline-delete")
+    removed = take_last(s, level)[1]
     end, lo, hi = 0, 0, 0  # end of the runs passed so far, after their shifts; runs[lo:hi] shift
     for k, (start, lv, count) in enumerate(s.segments()):
         size = 1 << lv
@@ -70,8 +68,8 @@ def baseline_delete(s: Situation, level: int) -> MoveLog:
                 lo = k
             hi, start = k + 1, want
         end = start + (count << lv)
-    log.moved = s.rotate_runs(lo, hi, False)  # each run's last pebble to its front
-    return log
+    moved = s.rotate_runs(lo, hi, False)  # each run's last pebble to its front
+    return MoveLog(DELETE_LEVEL, level, None, moved, removed, None, 0, 0, "baseline-delete")
 
 
 def baseline_delete_by_id(s: Situation, pid: int) -> MoveLog:

@@ -1,4 +1,5 @@
-"""Aligned places, and the one-pass scan of a position-ordered layout.
+"""Aligned places, the allocator's error types, and the walks and edits of
+a position-ordered layout.
 
 A *place* of level ``l`` is an aligned leaf interval
 ``[i*2**l, (i+1)*2**l)``.  :func:`scan_runs` walks a layout given as runs
@@ -9,12 +10,32 @@ that the coin audit recounts.  The scan follows every checked request, so
 it keeps its state in local scalars and builds no value for a check that
 passes; hot paths build a ``Place`` as ``tuple.__new__(Place, (level,
 start))``, without the NamedTuple's Python-level ``__new__``.
+
+The allocator's walks over the same runs (:func:`site`, :func:`last`,
+:func:`closing`) hand back run indices, and :func:`respan` rewrites a
+window of runs in one slice assignment; none of them reads an id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
+
+
+class AllocationError(Exception):
+    """Base class for all allocator errors."""
+
+
+class BandwidthError(AllocationError):
+    """Request does not fit into the remaining free bandwidth."""
+
+
+class RequestError(AllocationError):
+    """Malformed or inapplicable request (bad level, unknown id, ...)."""
+
+
+class InvariantError(AllocationError):
+    """An internal expectation failed; the input situation was not valid."""
 
 
 class Place(NamedTuple):
@@ -204,3 +225,97 @@ def scan_runs(runs, leaves: int, witness) -> PebbleScan:
     if prev_end < leaves:
         free.append((prev_end, leaves, None))
     return tuple.__new__(PebbleScan, (violations, tuple(free)))  # as for Place
+
+
+def site(runs: list, leaves: int, level: int) -> tuple[int, int, bool] | None:
+    """``(i, start, black)``: in a tree of ``leaves``, the first free place
+    of ``level`` starts at ``start``, just before run ``i``, and the pebble
+    that ends run ``i - 1`` is black by rule C (true when there is none):
+    no run before its own has a bigger level.  None when no place of
+    ``level`` is free.  One walk, left to right."""
+    size = 1 << level
+    cursor = i = 0  # start of the free run ending at run ``i``
+    top = below = -1  # largest level of the runs walked, and of all but the last
+    for first, lv, count in runs:
+        start = (cursor + size - 1) & -size
+        if start + size <= first:
+            break
+        below = top
+        if lv > top:
+            top = lv
+        cursor = first + (count << lv)
+        i += 1
+    else:
+        start = (cursor + size - 1) & -size
+        if start + size > leaves:
+            return None
+    return i, start, not i or below <= runs[i - 1][1]
+
+
+def last(runs: list, level: int) -> tuple[int, int | None] | None:
+    """``(i, low)``: run ``i`` is the last of ``level``, and ``low`` the
+    least level of the runs after it (None if there are none); None when no
+    run has ``level``.  One walk, right to left."""
+    low = None
+    for i in range(len(runs) - 1, -1, -1):
+        lv = runs[i][1]
+        if lv == level:
+            return i, low
+        if low is None or lv < low:
+            low = lv
+    return None
+
+
+def closing(runs: list, level: int) -> tuple[int, int, int] | None:
+    """``(j, cp, top)``: the closing position ``cp`` of ``level``, the
+    position after its last black pebble or, with none, the start of the
+    first bigger pebble; ``j`` the first run from ``cp`` on, and ``top``
+    the largest level of the runs before ``j`` (-1 for none).  None when
+    there is no closing position."""
+    found, top = None, -1
+    for j, (first, lv, count) in enumerate(runs):
+        if lv > level:  # every later pebble of ``level`` is white
+            return (j, first, top) if found is None else found
+        if lv > top:
+            top = lv
+        if lv == level:
+            found = j + 1, first + (count << lv), top
+    return found
+
+
+def respan(runs: list, lo: int, cut: int, to: int, new: list) -> int:
+    """Replace the pebbles in ``[cut, to)``, held from run ``lo`` on (the
+    first run past ``cut`` when none is), by the runs ``new``, in position
+    order, merging touching runs of one level, the runs on either side
+    too.  Returns the change in the number of runs; InvariantError, with
+    nothing changed, where two runs overlap."""
+    hi, end = lo, len(runs)
+    while hi < end and runs[hi][0] < to:
+        hi += 1
+    if hi > lo:
+        first, level, count = runs[lo]
+        if first < cut:
+            new.insert(0, (first, level, (cut - first) >> level))
+        first, level, count = runs[hi - 1]
+        if (stop := first + (count << level)) > to:
+            new.append((to, level, (stop - to) >> level))
+    a, b = lo - (lo > 0), hi + (hi < end)
+    if a < lo:
+        new.insert(0, runs[a])
+    if hi < end:
+        new.append(runs[hi])
+    merged = new[:1]
+    if merged:
+        first, level, count = merged[0]
+    for run in new[1:]:
+        start, lv, n = run
+        if (stop := first + (count << level)) > start:
+            raise InvariantError(f"place {Place(lv, start)} is not free")
+        if stop == start and lv == level:
+            count += n
+            merged[-1] = (first, level, count)
+        else:
+            merged.append(run)
+            first, level, count = run
+    runs[a:b] = merged
+    return len(merged) - (b - a)

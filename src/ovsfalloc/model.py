@@ -25,11 +25,17 @@ one walk over the segments, O(1) per segment
 (:func:`~ovsfalloc.layout.scan_runs`), which also yields the free runs
 that the coin audit recounts and is kept until the next mutation.
 
-The allocator's reads, ``insert_site`` and ``last_of_level``, take one
-walk each.  ``move_at`` moves one pebble, cut out of its segment and
-joined where it lands; ``rotate_runs`` moves one pebble of each of a
-block of segments from one end of its run to the other, in one pass, as
-the sorted baseline's cascade does.
+The allocator works on segment indices: one walk of the segments
+(:func:`~ovsfalloc.layout.site`, ``last`` or ``closing``) finds its
+site, victim or filler and hands back its index, and the request
+rewrites what it touches there: one pebble placed (``_place``, whose
+freeness test reads the two neighbouring segments) or removed
+(``_drop_last``), or a window of neighbouring pebbles rewritten in one
+splice (``_splice`` over :func:`~ovsfalloc.layout.respan`, which also
+shifts the sorted baseline's runs in ``rotate_runs``).  The public
+queries (``insert_site``, ``last_of_level``, ``remove_last``,
+``place_pebble``, ...) run the same walks and build a :class:`Pebble`
+only where they return one.
 
 A Situation is a self-contained value: instances share no mutable state,
 may be moved freely between threads, and a single instance must not be
@@ -43,7 +49,10 @@ from dataclasses import FrozenInstanceError
 from operator import itemgetter
 from typing import NamedTuple
 
-from .layout import PebbleScan, Place, Violation, scan_runs
+from .layout import (  # the error types are the model's, defined where the run edits raise them
+    AllocationError, BandwidthError, InvariantError, PebbleScan, Place, RequestError, Violation,
+    closing, last, respan, scan_runs, site,
+)
 
 BLACK = "black"
 WHITE = "white"
@@ -60,22 +69,6 @@ def check_height(n: int) -> None:
         raise ValueError(f"height must be >= 0, got {n}")
     if n > MAX_TREE_HEIGHT:
         raise ValueError(f"height must be <= {MAX_TREE_HEIGHT}, got {n}")
-
-
-class AllocationError(Exception):
-    """Base class for all allocator errors."""
-
-
-class BandwidthError(AllocationError):
-    """Request does not fit into the remaining free bandwidth."""
-
-
-class RequestError(AllocationError):
-    """Malformed or inapplicable request (bad level, unknown id, ...)."""
-
-
-class InvariantError(AllocationError):
-    """An internal expectation failed; the input situation was not valid."""
 
 
 class Pebble(NamedTuple):
@@ -131,8 +124,8 @@ class Situation:
     Positions live in ``_segs`` alone, a start-ordered list of
     ``(start, level, count)`` segments: ``count`` contiguous pebbles of
     ``level``, the first at ``start``, with no equal-level pebble touching
-    either end.  Every positional query is a scan or bisection of it; rule
-    C colors a pebble by a prefix-max scan over it.  Ids are two int maps
+    either end.  Every positional query is a walk or bisection of it, or,
+    for the allocator, an index into it.  Ids are two int maps
     over the segment starts, ``_id_at`` (start -> id) and ``_start_of``
     (id -> start).  A :class:`Pebble` is built only where a method returns
     one, with the level of its segment.  Every read of an id checks that
@@ -180,38 +173,97 @@ class Situation:
                 return i, k, level
         return -1, 0, 0
 
-    def _by_id(self, pid: int) -> tuple[int, int, Pebble]:
-        """``(i, k, pebble)``: pebble ``k`` of segment ``i`` has id ``pid`` in both maps."""
+    def _by_id(self, pid: int) -> tuple[int, int, int, int]:
+        """``(i, k, level, start)``: pebble ``k`` of segment ``i`` has id ``pid`` in both maps."""
         start = self._start_of.get(pid)
         if start is None:
             raise RequestError(f"unknown pebble id {pid}")
         i, k, level = self._index(start)
         if i < 0 or self._id_at.get(start) != pid:
             raise InvariantError(f"pebble {pid} is not the one the segments put at {start}")
-        return i, k, tuple.__new__(Pebble, (pid, level, start))
+        return i, k, level, start
 
-    def _cut(self, i: int, k: int) -> int:
-        """Replace segment ``i`` by the runs left and right of its pebble
-        ``k``; returns how many there are."""
-        first, level, count = self._segs[i]
-        parts = [(first, level, k)] if k else []
-        if k + 1 < count:
-            parts.append((first + ((k + 1) << level), level, count - k - 1))
-        self._segs[i : i + 1] = parts
-        return len(parts)
+    def _id(self, start: int) -> int:
+        """The id stored at ``start``, where a segment puts a pebble;
+        InvariantError unless the maps are inverse there."""
+        if self._start_of.get(pid := self._id_at.get(start)) != start:
+            raise _stray(start, pid)
+        return pid
 
-    def _join(self, lo: int, hi: int, first: int, level: int, count: int) -> None:
-        """Replace ``_segs[lo:hi]`` by the run of ``count`` pebbles of
-        ``level`` from ``first``, merged with an equal-level segment that
-        touches either end."""
+    def _place(self, i: int, level: int, start: int, pid: int | None = None) -> int:
+        """Install a pebble at ``start``, just before segment ``i``, checked
+        aligned, inside the tree, clear of the two segments around ``i``,
+        storing no id and with an unused id, which it returns; or raise with
+        nothing changed.  It joins a touching segment of its level."""
+        size = 1 << level
+        if start & (size - 1):
+            raise RequestError(f"start {start} not aligned to size {size}")
+        if start < 0 or start + size > self.leaves:
+            raise RequestError(f"place {Place(level, start)} outside the tree")
         segs = self._segs
-        if lo and segs[lo - 1][1] == level and _seg_end(segs[lo - 1]) == first:
-            lo -= 1
-            first, count = segs[lo][0], count + segs[lo][2]
-        if hi < len(segs) and segs[hi][1] == level and segs[hi][0] == first + (count << level):
-            count += segs[hi][2]
-            hi += 1
+        lo, hi, first, count = i, i, start, 1
+        if i:
+            before, lv, n = segs[i - 1]
+            if (end := before + (n << lv)) > start:
+                raise RequestError(f"place {Place(level, start)} is not free")
+            if end == start and lv == level:
+                lo, first, count = i - 1, before, n + 1
+        if i < len(segs):
+            after, lv, n = segs[i]
+            if after < start + size:
+                raise RequestError(f"place {Place(level, start)} is not free")
+            if after == start + size and lv == level:
+                hi, count = i + 1, count + n
+        pid = self._next_id if pid is None else pid
+        if pid in self._start_of:
+            raise RequestError(f"pebble id {pid} already present")
+        if start in self._id_at:
+            raise InvariantError(f"a pebble is stored at free start {start}")
+        if pid >= self._next_id:
+            self._next_id = pid + 1
         segs[lo:hi] = [(first, level, count)]
+        self._scan = None
+        self._id_at[start] = pid
+        self._start_of[pid] = start
+        self._occupied += size
+        return pid
+
+    def _splice(self, *windows: tuple[int, int, int, list]) -> int | None:
+        """Move a few pebbles and place at most one new one in one rewrite.
+        A window ``(lo, cut, to, moves)`` replaces the pebbles in ``[cut,
+        to)``, held from segment ``lo`` on, by those ``moves`` puts there,
+        ``(id, level, source, destination)`` in position order, with id and
+        source None for a new pebble.  Windows go left to right and are
+        spliced right to left, once each destination is checked as
+        :meth:`_place` checks it.  Returns the new pebble's id."""
+        id_at, start_of = self._id_at, self._start_of
+        moves = [move for window in windows for move in window[3]]
+        sources = [move[2] for move in moves]
+        new = None
+        for pid, level, _, dst in moves:
+            size = 1 << level
+            if dst & (size - 1):
+                raise RequestError(f"start {dst} not aligned to size {size}")
+            if dst < 0 or dst + size > self.leaves:
+                raise RequestError(f"place {Place(level, dst)} outside the tree")
+            if dst in id_at and dst not in sources:
+                raise InvariantError(f"a pebble is stored at free start {dst}")
+            if pid is None:
+                new, grown = self._next_id, size
+                if new in start_of:
+                    raise RequestError(f"pebble id {new} already present")
+        for lo, cut, to, landing in reversed(windows):
+            respan(self._segs, lo, cut, to, [(dst, level, 1) for _, level, _, dst in landing])
+        self._scan = None
+        for src in sources:
+            if src is not None:
+                del id_at[src]
+        if new is not None:
+            self._next_id, self._occupied = new + 1, self._occupied + grown
+        for pid, _, _, dst in moves:
+            id_at[dst] = pid = new if pid is None else pid
+            start_of[pid] = dst
+        return new
 
     def block_free(self, level: int, start: int) -> bool:
         """True iff the aligned place ``[start, start + 2**level)`` holds no
@@ -230,54 +282,51 @@ class Situation:
         """Install a new pebble; raises :class:`RequestError` on misuse."""
         if not 0 <= level <= self.n:
             raise RequestError(f"level {level} out of [0, {self.n}]")
-        if start % (1 << level):
-            raise RequestError(f"start {start} not aligned to size {1 << level}")
-        if start < 0 or start + (1 << level) > self.leaves:
-            raise RequestError(f"place {Place(level, start)} outside the tree")
-        i = self._slot(start, start + (1 << level))
-        if i < 0:
-            raise RequestError(f"place {Place(level, start)} is not free")
-        pid = self._next_id if pid is None else pid
-        if pid in self._start_of:
-            raise RequestError(f"pebble id {pid} already present")
-        if start in self._id_at:
-            raise InvariantError(f"a pebble is stored at free start {start}")
-        self._next_id = max(self._next_id, pid + 1)
-        self._join(i, i, start, level, 1)
-        self._scan = None
-        self._id_at[start] = pid
-        self._start_of[pid] = start
-        self._occupied += 1 << level
+        pid = self._place(bisect_right(self._segs, start, key=_START), level, start, pid)
         return tuple.__new__(Pebble, (pid, level, start))
 
     def remove_pebble(self, pid: int) -> Pebble:
-        return self._remove(*self._by_id(pid))
+        i, _, level, start = self._by_id(pid)
+        respan(self._segs, i, start, start + (1 << level), [])
+        self._scan = None
+        del self._start_of[pid], self._id_at[start]
+        self._occupied -= 1 << level
+        return tuple.__new__(Pebble, (pid, level, start))
 
     def remove_last(self, level: int) -> tuple[Pebble, int | None] | None:
         """Remove the last pebble of ``level``, found and read as
         :meth:`last_of_level` finds it, and return what that returns; None,
         with nothing changed, when no pebble has ``level``."""
-        found = self._last(level)
+        found = last(self._segs, level)
         if found is None:
             return None
-        i, pebble, low = found
-        self._remove(i, self._segs[i][2] - 1, pebble)
-        return pebble, low
+        i, low = found
+        first, _, count = self._segs[i]
+        start = first + ((count - 1) << level)
+        pid = self._id(start)
+        self._drop_last(i, start, pid)
+        return tuple.__new__(Pebble, (pid, level, start)), low
 
-    def _remove(self, i: int, k: int, pebble: Pebble) -> Pebble:
-        """Remove ``pebble``, checked to be pebble ``k`` of segment ``i``."""
-        self._cut(i, k)
+    def _drop_last(self, i: int, start: int, pid: int) -> int:
+        """Remove the last pebble of segment ``i``, at ``start`` with id
+        ``pid``; returns the index of the first segment past its place."""
+        first, level, count = self._segs[i]
+        if count > 1:
+            self._segs[i] = (first, level, count - 1)
+            i += 1
+        else:
+            del self._segs[i]
         self._scan = None
-        del self._start_of[pebble.id], self._id_at[pebble.start]
-        self._occupied -= 1 << pebble.level
-        return pebble
+        del self._start_of[pid], self._id_at[start]
+        self._occupied -= 1 << level
+        return i
 
     def move_at(self, start: int, new_start: int) -> Pebble:
         """Move the pebble at ``start`` to the free aligned place of its level
-        at ``new_start``, cut out of its segment and joined where ``_slot``
+        at ``new_start``, cut out of its segment and placed where ``_slot``
         finds room, and return it as it was; or raise :class:`InvariantError`
         with nothing changed."""
-        i, k, level = self._index(start)
+        i, _, level = self._index(start)
         if i < 0:
             raise InvariantError(f"no segment puts a pebble at {start}")
         pebble = self._read(start, level)
@@ -289,82 +338,70 @@ class Situation:
         j = self._slot(new_start, new_start + size)
         if j < 0:
             raise InvariantError(f"place {Place(level, new_start)} is not free")
-        parts = self._cut(i, k)
-        if j > i:  # past segment ``i``, which the cut made ``parts`` segments
-            j += parts - 1
-        self._join(j, j, new_start, level, 1)
-        self._scan = None
-        del self._id_at[start]
-        self._id_at[new_start] = pebble.id
-        self._start_of[pebble.id] = new_start
+        grown = respan(self._segs, i, start, start + size, [])
+        del self._id_at[start], self._start_of[pebble.id]
+        self._occupied -= size
+        self._place(j + grown if j > i else j, level, new_start, pebble.id)
         return pebble
 
     def rotate_runs(self, lo: int, hi: int, right: bool) -> list[tuple[int, Place, Place]]:
         """Rotate each of the segments ``lo..hi-1`` by one slot: with
-        ``right`` a run's first pebble moves just past its end, top down,
-        else its last just before its start, bottom up.  Each hop is checked
-        as :meth:`move_at` checks it, read from its segment: the destination
-        is aligned, inside the tree, stores no id and overlaps no neighbour.
-        A run that then touches an equal-level neighbour is merged with it.
-        Returns ``(id, old place, new place)`` per hop, in segment order, or
-        raises :class:`InvariantError` with nothing changed."""
+        ``right`` a run's first pebble moves just past its end, else its
+        last just before its start, so that the run shifts by one pebble.
+        Each hop is checked as :meth:`move_at` checks it, read from its
+        segment: the destination is aligned, inside the tree and stores no
+        id, and the shifted runs overlap nothing (:func:`~ovsfalloc.layout.respan`,
+        which merges a run with a touching equal-level neighbour).  Returns ``(id,
+        old place, new place)`` per hop, in segment order, or raises
+        :class:`InvariantError` with nothing changed."""
         if lo >= hi:
             return []
-        segs, id_at, start_of, leaves = self._segs, self._id_at, self._start_of, self.leaves
-        a, b = lo, hi  # ``runs`` replaces ``segs[a:b]``: the block and the neighbours merged in
-        end, prev = (_seg_end(segs[lo - 1]), segs[lo - 1][1]) if lo else (0, -1)  # the run before
-        vacated = -1  # a source that an earlier hop empties
-        runs, hops = [], []  # the block's new segments; (id, level, source, destination) per hop
+        segs, id_at, start_of = self._segs, self._id_at, self._start_of
+        hops, runs = [], []  # (id, level, source, destination) per hop; the shifted runs
+        vacated = -1  # the source of the hop next to this one, whose destination it may be
         for i in range(lo, hi):
             first, level, count = segs[i]
             size = 1 << level
             if right:  # top down: the next run's first pebble has left
-                src, dst, new_first = first, first + (count << level), first + size
+                src, dst = first, first + (count << level)
                 vacated = segs[i + 1][0] if i + 1 < hi else -1
             else:  # bottom up: the previous run's last pebble has left
-                src, dst, new_first = first + ((count - 1) << level), first - size, first - size
+                src, dst = first + ((count - 1) << level), first - size
             pid = id_at.get(src)
             if pid is None or start_of.get(pid) != src:
                 raise _stray(src, pid)
-            if dst & (size - 1) or dst < 0 or dst + size > leaves:
+            if dst & (size - 1) or dst < 0 or dst + size > self.leaves:
                 raise InvariantError(f"misaligned move of {pid} to {dst}")
             if dst in id_at and dst != vacated:
                 raise InvariantError(f"a pebble is stored at {dst}, the move's free start")
-            if new_first < end:
-                raise InvariantError(f"place {Place(level, dst)} is not free")
             hops.append((pid, level, src, dst))
-            if new_first == end and level == prev:  # touches the run before it
-                if runs:
-                    new_first, _, more = runs.pop()
-                else:
-                    a -= 1
-                    new_first, _, more = segs[a]
-                count += more
-            runs.append((new_first, level, count))
-            end, prev, vacated = new_first + (count << level), level, src
-        if b < len(segs):
-            first, level, count = segs[b]
-            if first < end:
-                raise InvariantError(f"segment {segs[b]} overlaps a rotated one ending at {end}")
-            if first == end and level == prev:
-                b += 1
-                runs[-1] = (runs[-1][0], level, runs[-1][2] + count)
+            runs.append((first + size if right else dst, level, count))
+            vacated = src
+        respan(segs, lo, segs[lo][0], _seg_end(segs[hi - 1]), runs)
         self._scan = None
-        segs[a:b] = runs
-        for pid, _, src, dst in reversed(hops) if right else hops:  # in hop order: dst is free
-            del id_at[src]
-            id_at[dst] = pid
-            start_of[pid] = dst
+        for hop in hops:
+            del id_at[hop[2]]
         new = tuple.__new__  # no NamedTuple __new__ call per Place
-        return [(pid, new(Place, (lv, src)), new(Place, (lv, dst))) for pid, lv, src, dst in hops]
+        moved = []
+        for pid, level, src, dst in hops:
+            id_at[dst], start_of[pid] = pid, dst
+            moved.append((pid, new(Place, (level, src)), new(Place, (level, dst))))
+        return moved
 
     def move_pebble(self, pid: int, new_start: int) -> None:
         """:meth:`move_at` for the pebble with id ``pid``."""
         self.move_at(self.pebble(pid).start, new_start)
 
     def relabel_pebble(self, old_id: int, new_id: int) -> None:
-        """Hand ``old_id``'s pebble the identity ``new_id`` (code handover)."""
-        start = self.pebble(old_id).start
+        """Hand ``old_id``'s pebble the identity ``new_id`` (code handover).
+        The pebble stays where it is, so its id is read as every id is, the
+        two maps checked inverse at its start, with no search of the
+        segments: a delete by id has resolved it against them already."""
+        start = self._start_of.get(old_id)
+        if start is None:
+            raise RequestError(f"unknown pebble id {old_id}")
+        if self._id_at.get(start) != old_id:
+            raise InvariantError(f"pebble {old_id} is not the one stored at {start}")
         if new_id in self._start_of:
             raise RequestError(f"pebble id {new_id} already present")
         del self._start_of[old_id]
@@ -390,7 +427,7 @@ class Situation:
         return pid in self._start_of
 
     def pebble(self, pid: int) -> Pebble:
-        return self._by_id(pid)[2]
+        return tuple.__new__(Pebble, (pid, *self._by_id(pid)[2:]))
 
     def _read(self, start: int, level: int) -> Pebble:
         """The pebble at ``start``, where the segment list puts one of
@@ -448,28 +485,19 @@ class Situation:
         return None if i == len(segs) else self._read(segs[i][0], segs[i][1])
 
     def rightmost_of_level(self, level: int) -> Pebble | None:
-        found = self._last(level)
-        return None if found is None else found[1]
+        found = last(self._segs, level)
+        if found is None:
+            return None
+        return self._read(_seg_end(self._segs[found[0]]) - (1 << level), level)
 
     def last_of_level(self, level: int) -> tuple[Pebble, int | None] | None:
         """The last pebble of ``level``, read checked, and the least level
         of the pebbles right of it (None if there are none), in one
         right-to-left walk; None when no pebble has ``level``."""
-        found = self._last(level)
-        return None if found is None else found[1:]
-
-    def _last(self, level: int) -> tuple[int, Pebble, int | None] | None:
-        """``(i, pebble, low)``: the last pebble of ``level`` ends segment
-        ``i``, and ``low`` is the least level of the segments after it."""
-        segs = self._segs
-        low = None
-        for i in range(len(segs) - 1, -1, -1):
-            first, lv, count = segs[i]
-            if lv == level:
-                return i, self._read(first + ((count - 1) << lv), lv), low
-            if low is None or lv < low:
-                low = lv
-        return None
+        found = last(self._segs, level)
+        if found is None:
+            return None
+        return self._read(_seg_end(self._segs[found[0]]) - (1 << level), level), found[1]
 
     def smallest_level_right(self, pos: int) -> int | None:
         """Level of the smallest pebble starting strictly right of ``pos``."""
@@ -483,21 +511,10 @@ class Situation:
     # spec operations
 
     def is_black(self, pid: int) -> bool:
-        """Rule C, in one walk up to the segment that holds ``pid``, where
-        the maps are checked inverse at its start."""
-        start = self._start_of.get(pid)
-        if start is None:
-            raise RequestError(f"unknown pebble id {pid}")
-        top = -1  # the largest level of the segments before ``pid``'s
-        for first, level, count in self._segs:
-            if first + (count << level) > start:  # the first segment reaching past ``start``
-                on_a_start = first <= start and not (start - first) % (1 << level)
-                if on_a_start and self._id_at.get(start) == pid:
-                    return top <= level
-                break
-            if level > top:
-                top = level
-        raise InvariantError(f"pebble {pid} is not the one the segments put at {start}")
+        """Rule C: no segment before the one that holds ``pid``, checked in
+        both maps, has a bigger level."""
+        i, _, level, _ = self._by_id(pid)
+        return all(seg[1] <= level for seg in self._segs[:i])
 
     def color_of(self, pid: int) -> str:
         """Rule C: black iff no strictly bigger pebble starts earlier."""
@@ -522,59 +539,32 @@ class Situation:
         """Free aligned place of ``level`` with minimal start, or None."""
         if not 0 <= level <= self.n:
             raise RequestError(f"level {level} out of [0, {self.n}]")
-        size = 1 << level
-        cursor = 0  # start of the free run ending at the next segment
-        for first, lv, count in self._segs:
-            start = (cursor + size - 1) & -size
-            if start + size <= first:
-                return Place(level, start)
-            cursor = first + (count << lv)
-        start = (cursor + size - 1) & -size
-        return Place(level, start) if start + size <= self.leaves else None
+        found = site(self._segs, self.leaves, level)
+        return None if found is None else Place(level, found[1])
 
     def insert_site(self, level: int) -> tuple[int, Pebble | None, bool] | None:
         """``(start, left, black)`` in one walk: the start of
         :meth:`first_free_place`, the pebble left of it, read checked, and
         its rule C color (True when there is no left pebble); None when no
-        place of ``level`` is free.  The left pebble is the last of the
-        segment before the place, black iff no segment before that one has
-        a bigger level."""
+        place of ``level`` is free."""
         if not 0 <= level <= self.n:
             raise RequestError(f"level {level} out of [0, {self.n}]")
-        size = 1 << level
-        cursor = 0  # start of the free run ending at the next segment
-        top = below = -1  # largest level of the segments walked, and of all but the last
-        left = None  # the last segment walked
-        for seg in self._segs:
-            start = (cursor + size - 1) & -size
-            if start + size <= seg[0]:
-                break
-            first, lv, count = left = seg
-            below = top
-            if lv > top:
-                top = lv
-            cursor = first + (count << lv)
-        else:
-            start = (cursor + size - 1) & -size
-            if start + size > self.leaves:
-                return None
-        if left is None:
+        found = site(self._segs, self.leaves, level)
+        if found is None:
+            return None
+        i, start, black = found
+        if not i:
             return start, None, True
-        first, lv, count = left
-        return start, self._read(first + ((count - 1) << lv), lv), below <= lv
+        first, lv, count = self._segs[i - 1]
+        return start, self._read(first + ((count - 1) << lv), lv), black
 
     def closing_position(self, level: int) -> int | None:
         """Position after the last black pebble of ``level``; if there is
         none, the start of the first pebble of a bigger level; else None."""
         if not 0 <= level <= self.n:
             raise RequestError(f"level {level} out of [0, {self.n}]")
-        last_black = None
-        for seg in self._segs:
-            if seg[1] > level:  # every later pebble of ``level`` is white
-                return seg[0] if last_black is None else last_black
-            if seg[1] == level:
-                last_black = _seg_end(seg)
-        return last_black
+        found = closing(self._segs, level)
+        return None if found is None else found[1]
 
     def pebble_scan(self) -> PebbleScan:
         """The :func:`~ovsfalloc.layout.scan_runs` result of the segments,

@@ -371,8 +371,8 @@ def _admissible(s: Situation, inserts: list, deletes: list) -> list:
 # the verifier's mutants: name -> (a line of ``allocator.py``, the line
 # that replaces it); each disables one subtle step the checks must notice
 MUTANTS = {
-    "skip-delete-swap": ("if q is not None and not s.is_black(q.id):", "if False:"),
-    "skip-insert-rename": ("renamed = a < b.size", "renamed = False"),
+    "skip-delete-swap": ("if g and any(seg[1] > q_level for seg in segs[: g - 1]):", "if False:"),
+    "skip-insert-rename": ("renamed = a < b_size", "renamed = False"),
 }
 
 

@@ -1,8 +1,12 @@
+import collections
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ovsfalloc.allocator import (
+    DELETE_ID,
     DELETE_LEVEL,
+    PLACE_DIRECT,
     Request,
     apply,
     delete_by_id,
@@ -241,3 +245,29 @@ def test_determinism_identical_logs():
     b = replay(trace, log_format="text")
     assert a.request_lines == b.request_lines
     assert a.situation.to_pairs() == b.situation.to_pairs()
+
+
+def test_requests_search_no_slot_and_resolve_an_id_once(monkeypatch):
+    # a request makes one segment walk and rewrites what it touches by
+    # segment index: no request searches for a slot, and a by-id request
+    # resolves its id once, in one bisection, and no other request bisects
+    calls = collections.Counter()
+    for name in ("_slot", "_index", "_by_id"):
+        def counted(self, *args, _name=name, _fn=getattr(Situation, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(Situation, name, counted)
+    trace = gen_random_trace(12, 2000, seed=12, insert_ratio=0.6, by_id=True)
+    s = Situation(trace.n)
+    seen = collections.Counter()
+    for request in trace.requests:
+        before = calls.copy()
+        log = apply(s, request)
+        spent = {name: calls[name] - before[name] for name in ("_slot", "_index", "_by_id")}
+        by_id = request.kind == DELETE_ID
+        assert spent == {"_slot": 0, "_index": by_id, "_by_id": by_id}, (request, log.branch)
+        seen[log.branch + (" iterated" if log.iterations else "")] += 1
+    assert seen[PLACE_DIRECT] > 500
+    assert seen["delete-no-fit"] > 500 and seen["delete-no-fit iterated"] > 100
+    assert seen["shuffle-black"] > 100 and seen["rotate-pair"] > 10

@@ -124,7 +124,8 @@ def test_cascade_cost_grows_with_height():
 
 def test_cascade_hops_read_no_pebble_and_search_no_slot(monkeypatch):
     # each request is one segment pass: it hands rotate_runs the block of
-    # segment indices it holds, and no hop bisects
+    # segment indices it holds, no hop bisects, and the new pebble is placed
+    # at the index the pass holds
     calls = {"pebble_at": 0, "_slot": 0, "_index": 0, "move_at": 0, "rotate_runs": 0}
     for name in calls:
         def counted(self, *args, _name=name, _fn=getattr(Situation, name)):
@@ -134,11 +135,10 @@ def test_cascade_hops_read_no_pebble_and_search_no_slot(monkeypatch):
         monkeypatch.setattr(Situation, name, counted)
     trace = gen_cascade_trace(10, 600)
     res = replay(trace, allocator="baseline")
-    inserts = sum(request.kind == INSERT for request in trace.requests)
     assert res.stats.total_moves > 2_000
     assert calls == {
         "pebble_at": 0,
-        "_slot": inserts,
+        "_slot": 0,
         "_index": 0,
         "move_at": 0,
         "rotate_runs": len(trace.requests),
