@@ -197,12 +197,9 @@ def delete_last(s: Situation, level: int) -> MoveLog:
             branch = EXIT_NO_FIT
             break
         found = last(segs, x_level)
-        if found is not None:
-            i, next_level = found
-            first, _, count = segs[i]
-            source = first + ((count - 1) << x_level)
-        if found is None or source <= gap:
+        if found is None or found[1] <= gap:
             raise InvariantError(f"no level-{x_level} pebble right of gap {gap}")
+        i, source, next_level = found
         pid = s._id(source)
         after = len(segs) - i - 1  # the segments past the source, which stay
         first_seen.setdefault(pid, (x_level, source))
@@ -257,17 +254,16 @@ def admit_insert(s: Situation, level: int) -> int:
 
 
 def take_last(s: Situation, level: int) -> tuple[int, int, int, int | None]:
-    """``s.remove_last(level)``, checked, on segment indices: the index of
-    the first segment past the removed pebble's place, its id, its start,
-    and the least level right of it or None."""
+    """Remove the last pebble of ``level``, found and read as
+    ``s.last_of_level(level)`` finds it; return the index of the first
+    segment past its place, its id, its start, and the least level right
+    of it or None.  Refuses, with nothing changed, a level it cannot hold."""
     if not 0 <= level <= s.n:
         raise RequestError(f"level {level} out of [0, {s.n}]")
     found = last(s._segs, level)
     if found is None:
         raise RequestError(f"no pebble of level {level}")
-    i, low = found
-    first, _, count = s._segs[i]
-    start = first + ((count - 1) << level)
+    i, start, low = found
     pid = s._id(start)
     return s._drop_last(i, start, pid), pid, start, low
 

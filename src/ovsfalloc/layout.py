@@ -252,15 +252,15 @@ def site(runs: list, leaves: int, level: int) -> tuple[int, int, bool] | None:
     return i, start, not i or below <= runs[i - 1][1]
 
 
-def last(runs: list, level: int) -> tuple[int, int | None] | None:
-    """``(i, low)``: run ``i`` is the last of ``level``, and ``low`` the
-    least level of the runs after it (None if there are none); None when no
-    run has ``level``.  One walk, right to left."""
+def last(runs: list, level: int) -> tuple[int, int, int | None] | None:
+    """``(i, start, low)``: the last pebble of ``level`` starts at ``start``
+    and ends run ``i``, and ``low`` is the least level of the runs after it
+    (None if none); None when no run has ``level``.  One walk, right to left."""
     low = None
     for i in range(len(runs) - 1, -1, -1):
-        lv = runs[i][1]
+        first, lv, count = runs[i]
         if lv == level:
-            return i, low
+            return i, first + ((count - 1) << lv), low
         if low is None or lv < low:
             low = lv
     return None

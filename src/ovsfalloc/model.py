@@ -32,10 +32,10 @@ rewrites what it touches there: one pebble placed (``_place``, whose
 freeness test reads the two neighbouring segments) or removed
 (``_drop_last``), or a window of neighbouring pebbles rewritten in one
 splice (``_splice`` over :func:`~ovsfalloc.layout.respan`, which also
-shifts the sorted baseline's runs in ``rotate_runs``).  The public
-queries (``insert_site``, ``last_of_level``, ``remove_last``,
-``place_pebble``, ...) run the same walks and build a :class:`Pebble`
-only where they return one.
+shifts the sorted baseline's runs in ``rotate_runs``); ``move_pebble``
+is one such splice of a source and a landing window.  The public
+queries (``insert_site``, ``last_of_level``, ``place_pebble``, ...) run
+the same walks and build a :class:`Pebble` only where they return one.
 
 A Situation is a self-contained value: instances share no mutable state,
 may be moved freely between threads, and a single instance must not be
@@ -235,7 +235,8 @@ class Situation:
         ``(id, level, source, destination)`` in position order, with id and
         source None for a new pebble.  Windows go left to right and are
         spliced right to left, once each destination is checked as
-        :meth:`_place` checks it.  Returns the new pebble's id."""
+        :meth:`_place` checks it, but as an :class:`InvariantError`: its
+        callers hold admitted requests.  Returns the new pebble's id."""
         id_at, start_of = self._id_at, self._start_of
         moves = [move for window in windows for move in window[3]]
         sources = [move[2] for move in moves]
@@ -243,9 +244,9 @@ class Situation:
         for pid, level, _, dst in moves:
             size = 1 << level
             if dst & (size - 1):
-                raise RequestError(f"start {dst} not aligned to size {size}")
+                raise InvariantError(f"start {dst} not aligned to size {size}")
             if dst < 0 or dst + size > self.leaves:
-                raise RequestError(f"place {Place(level, dst)} outside the tree")
+                raise InvariantError(f"place {Place(level, dst)} outside the tree")
             if dst in id_at and dst not in sources:
                 raise InvariantError(f"a pebble is stored at free start {dst}")
             if pid is None:
@@ -293,20 +294,6 @@ class Situation:
         self._occupied -= 1 << level
         return tuple.__new__(Pebble, (pid, level, start))
 
-    def remove_last(self, level: int) -> tuple[Pebble, int | None] | None:
-        """Remove the last pebble of ``level``, found and read as
-        :meth:`last_of_level` finds it, and return what that returns; None,
-        with nothing changed, when no pebble has ``level``."""
-        found = last(self._segs, level)
-        if found is None:
-            return None
-        i, low = found
-        first, _, count = self._segs[i]
-        start = first + ((count - 1) << level)
-        pid = self._id(start)
-        self._drop_last(i, start, pid)
-        return tuple.__new__(Pebble, (pid, level, start)), low
-
     def _drop_last(self, i: int, start: int, pid: int) -> int:
         """Remove the last pebble of segment ``i``, at ``start`` with id
         ``pid``; returns the index of the first segment past its place."""
@@ -321,39 +308,17 @@ class Situation:
         self._occupied -= 1 << level
         return i
 
-    def move_at(self, start: int, new_start: int) -> Pebble:
-        """Move the pebble at ``start`` to the free aligned place of its level
-        at ``new_start``, cut out of its segment and placed where ``_slot``
-        finds room, and return it as it was; or raise :class:`InvariantError`
-        with nothing changed."""
-        i, _, level = self._index(start)
-        if i < 0:
-            raise InvariantError(f"no segment puts a pebble at {start}")
-        pebble = self._read(start, level)
-        size = 1 << level
-        if new_start & (size - 1) or new_start < 0 or new_start + size > self.leaves:
-            raise InvariantError(f"misaligned move of {pebble.id} to {new_start}")
-        if new_start in self._id_at:
-            raise InvariantError(f"a pebble is stored at {new_start}, the move's free start")
-        j = self._slot(new_start, new_start + size)
-        if j < 0:
-            raise InvariantError(f"place {Place(level, new_start)} is not free")
-        grown = respan(self._segs, i, start, start + size, [])
-        del self._id_at[start], self._start_of[pebble.id]
-        self._occupied -= size
-        self._place(j + grown if j > i else j, level, new_start, pebble.id)
-        return pebble
-
     def rotate_runs(self, lo: int, hi: int, right: bool) -> list[tuple[int, Place, Place]]:
         """Rotate each of the segments ``lo..hi-1`` by one slot: with
         ``right`` a run's first pebble moves just past its end, else its
         last just before its start, so that the run shifts by one pebble.
-        Each hop is checked as :meth:`move_at` checks it, read from its
-        segment: the destination is aligned, inside the tree and stores no
-        id, and the shifted runs overlap nothing (:func:`~ovsfalloc.layout.respan`,
-        which merges a run with a touching equal-level neighbour).  Returns ``(id,
-        old place, new place)`` per hop, in segment order, or raises
-        :class:`InvariantError` with nothing changed."""
+        Each hop's id is read checked from its segment, and its destination
+        is checked as :meth:`_splice` checks one: aligned, inside the tree
+        and storing no id.  The shifted runs overlap nothing
+        (:func:`~ovsfalloc.layout.respan`, which merges a run with a touching
+        equal-level neighbour).  Returns ``(id, old place, new place)`` per
+        hop, in segment order, or raises :class:`InvariantError` with
+        nothing changed."""
         if lo >= hi:
             return []
         segs, id_at, start_of = self._segs, self._id_at, self._start_of
@@ -389,8 +354,19 @@ class Situation:
         return moved
 
     def move_pebble(self, pid: int, new_start: int) -> None:
-        """:meth:`move_at` for the pebble with id ``pid``."""
-        self.move_at(self.pebble(pid).start, new_start)
+        """Move the pebble with id ``pid`` to the free place of its level at
+        ``new_start``: its source and landing windows in one :meth:`_splice`,
+        which checks the landing as it checks every destination.  Raises
+        :class:`InvariantError` with nothing changed where that place is not
+        free, aligned and inside the tree."""
+        i, _, level, start = self._by_id(pid)
+        size = 1 << level
+        j = self._slot(new_start, new_start + size)
+        if j < 0:
+            raise InvariantError(f"place {Place(level, new_start)} is not free")
+        source = (i, start, start + size, [])
+        landing = (j, new_start, new_start + size, [(pid, level, start, new_start)])
+        self._splice(*((source, landing) if start < new_start else (landing, source)))
 
     def relabel_pebble(self, old_id: int, new_id: int) -> None:
         """Hand ``old_id``'s pebble the identity ``new_id`` (code handover).
@@ -432,9 +408,7 @@ class Situation:
     def _read(self, start: int, level: int) -> Pebble:
         """The pebble at ``start``, where the segment list puts one of
         ``level``; InvariantError unless the maps are inverse there."""
-        if self._start_of.get(pid := self._id_at.get(start)) != start:
-            raise _stray(start, pid)
-        return tuple.__new__(Pebble, (pid, level, start))
+        return tuple.__new__(Pebble, (self._id(start), level, start))
 
     def pebbles(self) -> list[Pebble]:
         """Pebbles in position order, as a fresh list, each read checked."""
@@ -485,19 +459,15 @@ class Situation:
         return None if i == len(segs) else self._read(segs[i][0], segs[i][1])
 
     def rightmost_of_level(self, level: int) -> Pebble | None:
-        found = last(self._segs, level)
-        if found is None:
-            return None
-        return self._read(_seg_end(self._segs[found[0]]) - (1 << level), level)
+        found = self.last_of_level(level)
+        return None if found is None else found[0]
 
     def last_of_level(self, level: int) -> tuple[Pebble, int | None] | None:
         """The last pebble of ``level``, read checked, and the least level
         of the pebbles right of it (None if there are none), in one
         right-to-left walk; None when no pebble has ``level``."""
         found = last(self._segs, level)
-        if found is None:
-            return None
-        return self._read(_seg_end(self._segs[found[0]]) - (1 << level), level), found[1]
+        return None if found is None else (self._read(found[1], level), found[2])
 
     def smallest_level_right(self, pos: int) -> int | None:
         """Level of the smallest pebble starting strictly right of ``pos``."""

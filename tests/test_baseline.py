@@ -126,7 +126,7 @@ def test_cascade_hops_read_no_pebble_and_search_no_slot(monkeypatch):
     # each request is one segment pass: it hands rotate_runs the block of
     # segment indices it holds, no hop bisects, and the new pebble is placed
     # at the index the pass holds
-    calls = {"pebble_at": 0, "_slot": 0, "_index": 0, "move_at": 0, "rotate_runs": 0}
+    calls = {"pebble_at": 0, "_slot": 0, "_index": 0, "move_pebble": 0, "rotate_runs": 0}
     for name in calls:
         def counted(self, *args, _name=name, _fn=getattr(Situation, name)):
             calls[_name] += 1
@@ -140,7 +140,7 @@ def test_cascade_hops_read_no_pebble_and_search_no_slot(monkeypatch):
         "pebble_at": 0,
         "_slot": 0,
         "_index": 0,
-        "move_at": 0,
+        "move_pebble": 0,
         "rotate_runs": len(trace.requests),
     }
 

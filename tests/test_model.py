@@ -1,13 +1,16 @@
+import ast
 import collections
 import dataclasses
+import inspect
 import pickle
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovsfalloc.allocator import INSERT, apply, insert
+from ovsfalloc.allocator import INSERT, apply, insert, take_last
 from ovsfalloc.baseline import baseline_delete, baseline_insert
 from ovsfalloc.layout import scan_runs
 from ovsfalloc.model import (
@@ -25,6 +28,7 @@ from ovsfalloc.oracle import exhaustive_verify
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import TraceError, gen_cascade_trace, gen_random_trace, parse_trace
 import reference
+from test_bench_contract import _spans
 from test_reference import _raw_situation, agrees
 
 
@@ -175,7 +179,7 @@ def test_kept_scan_is_dropped_by_every_mutation():
     s.move_pebble(ids[(2, 8)], 12)
     _assert_scan_fresh(s)
     with pytest.raises(InvariantError):
-        s.move_pebble(ids[(2, 8)], 13)  # misaligned: the pebble is reinstalled
+        s.move_pebble(ids[(2, 8)], 13)  # misaligned: refused with nothing changed
     _assert_scan_fresh(s)
     before = s.validate()
     assert any(ids[(2, 8)] in v.pebbles for v in before)
@@ -382,7 +386,7 @@ def _state(s):
 @pytest.mark.parametrize("by_id", [False, True])
 def test_one_walk_reads_match_the_reads_they_replace(by_id):
     # insert_site and last_of_level against the queries the allocator
-    # composed before, and remove_last against remove_pebble of the last
+    # composed before, and take_last against remove_pebble of the last
     states = 0
     for s in _trace_states(by_id):
         for level in range(s.n + 1):
@@ -396,13 +400,18 @@ def test_one_walk_reads_match_the_reads_they_replace(by_id):
             last = s.rightmost_of_level(level)
             found = None if last is None else (last, s.smallest_level_right(last.start))
             assert s.last_of_level(level) == found
+            walked = s.copy()
             if last is not None:
-                walked, composed = s.copy(), s.copy()
-                assert walked.remove_last(level) == found
+                composed = s.copy()
+                g, pid, start, low = take_last(walked, level)
+                assert (pid, start, low) == (last.id, last.start, found[1])
+                assert g == sum(seg[0] < start for seg in walked._segs)  # the first segment past it
                 composed.remove_pebble(last.id)
                 assert _state(walked) == _state(composed)
             else:
-                assert s.copy().remove_last(level) is None
+                with pytest.raises(RequestError):
+                    take_last(walked, level)
+                assert _state(walked) == _state(s)
         states += 1
     assert states == 9 * 301
 
@@ -414,8 +423,8 @@ def test_one_walk_reads_match_the_reads_they_replace(by_id):
         (40, lambda s: s.insert_site(3)),  # left of the first free 8@48
         (4, lambda s: s.last_of_level(2)),
         (40, lambda s: s.last_of_level(3)),
-        (4, lambda s: s.remove_last(2)),
-        (40, lambda s: s.remove_last(3)),
+        (4, lambda s: take_last(s, 2)),
+        (40, lambda s: take_last(s, 3)),
     ],
 )
 def test_one_walk_reads_refuse_a_stray_copy(start, walk):
@@ -430,14 +439,14 @@ def test_one_walk_reads_refuse_a_stray_copy(start, walk):
 
 def test_remove_last_refuses_a_stray_id_copy():
     # the id map puts the last pebble at a free start: the walk that
-    # remove_last shares with last_of_level refuses it in both
+    # take_last shares with last_of_level refuses it in both
     s = _valid_state()
     s._start_of[s._id_at[40]] = 48
     before = _state(s)
     with pytest.raises(InvariantError):
         s.last_of_level(3)
     with pytest.raises(InvariantError):
-        s.remove_last(3)
+        take_last(s, 3)
     assert _state(s) == before
 
 
@@ -640,10 +649,8 @@ def _reference_move(s, pid, new_start):
     return ref
 
 
-def _move(s, start, new_start, by_id):
-    if by_id:
-        return s.move_pebble(s._id_at[start], new_start)
-    return s.move_at(start, new_start)
+def _move(s, start, new_start):
+    return s.move_pebble(s._id_at[start], new_start)
 
 
 def _random_layout(rng):
@@ -674,9 +681,8 @@ def _move_targets(rng, s, first, level, count, k):
     return out
 
 
-@pytest.mark.parametrize("by_id", [False, True])
-def test_move_matches_a_remove_and_replace(by_id):
-    rng = random.Random(20074 + by_id)
+def test_move_matches_a_remove_and_replace():
+    rng = random.Random(20075)
     seen = collections.Counter()
     for _ in range(1_500):
         s = _random_layout(rng)
@@ -690,13 +696,12 @@ def test_move_matches_a_remove_and_replace(by_id):
             before = _stored(c)
             if ref is None:
                 with pytest.raises(InvariantError):
-                    _move(c, start, new_start, by_id)
+                    _move(c, start, new_start)
                 assert _stored(c) == before
                 c.cross_check()
                 seen["refused " + (kind if kind != "other" else "not-free")] += 1
                 continue
-            old = _move(c, start, new_start, by_id)
-            assert old == (None if by_id else pebble)
+            assert _move(c, start, new_start) is None
             c.cross_check()
             assert c._segs == ref._segs and c._occupied == ref._occupied
             assert c._id_at == ref._id_at and c._start_of == ref._start_of
@@ -722,8 +727,7 @@ def test_move_matches_a_remove_and_replace(by_id):
     ), seen
 
 
-@pytest.mark.parametrize("by_id", [False, True])
-def test_move_refuses_a_stray_copy_and_changes_nothing(by_id):
+def test_move_refuses_a_stray_copy_and_changes_nothing():
     s = _valid_state()  # segments 2x4@0, 2@8, 4x8@16 at height 6
     pebble = s.pebble_at(16)
     assert _reference_move(s, pebble.id, 48) is not None  # a rotation to the run's end
@@ -751,26 +755,24 @@ def test_move_refuses_a_stray_copy_and_changes_nothing(by_id):
         before = _stored(c)
         restore = plant(c)
         with pytest.raises(InvariantError):
-            _move(c, 16, 48, by_id)
+            _move(c, 16, 48)
         restore()
         assert _stored(c) == before, plant.__name__
         c.cross_check()
     for new_start in (16, 20, 24, 64):  # its own place, misaligned, taken, past the end
         c = s.copy()
         with pytest.raises(InvariantError):
-            _move(c, 16, new_start, by_id)
+            _move(c, 16, new_start)
         assert _stored(c) == _stored(s)
     c = s.copy()
-    with pytest.raises(InvariantError):
-        c.move_at(12, 48)  # no pebble starts there
     with pytest.raises(RequestError):
         c.move_pebble(999, 48)  # no pebble has that id
     assert _stored(c) == _stored(s)
 
 
 def _per_hop(s, lo, hi, right):
-    """``rotate_runs(lo, hi, right)`` as one ``move_at`` per hop, in its
-    order; returns the moves in segment order."""
+    """``rotate_runs(lo, hi, right)`` as one ``move_pebble`` per hop, in
+    its order; returns the moves in segment order."""
     segs = s.segments()
     moved = []
     for i in range(hi - 1, lo - 1, -1) if right else range(lo, hi):
@@ -779,7 +781,9 @@ def _per_hop(s, lo, hi, right):
             src, dst = first, first + (count << level)
         else:
             src, dst = first + ((count - 1) << level), first - (1 << level)
-        moved.append((s.move_at(src, dst).id, Place(level, src), Place(level, dst)))
+        pid = s.pebble_at(src).id
+        s.move_pebble(pid, dst)
+        moved.append((pid, Place(level, src), Place(level, dst)))
     return moved[::-1] if right else moved
 
 
@@ -887,3 +891,39 @@ def test_every_entry_point_refuses_a_height_above_the_bound():
     check_height(MAX_TREE_HEIGHT)
     with pytest.raises(ValueError, match="^height must be >= 0, got -1$"):
         check_height(-1)
+
+
+def _attributes_used(path):
+    """Attribute names read in the module at ``path``, each outside a def
+    of its own name (a recursive call is no caller)."""
+    used, defs = set(), []
+
+    class Uses(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            defs.append(node.name)
+            self.generic_visit(node)
+            defs.pop()
+
+        def visit_Attribute(self, node):
+            if node.attr not in defs:
+                used.add(node.attr)
+            self.generic_visit(node)
+
+    Uses().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return used
+
+
+def test_every_public_situation_method_has_a_caller_or_a_bench_span():
+    # a public method that nothing in src/ calls and the bench does not
+    # patch by name is a second path to keep in step: delete it instead
+    spans = _spans()
+    patched = set(spans.MUTATE + spans.QUERY)
+    patched |= {attr.split(".")[1] for _, _, attr in spans.SPANS if attr.startswith("Situation.")}
+    src = Path(inspect.getfile(Situation)).parent
+    used = set().union(*(_attributes_used(path) for path in src.glob("*.py")))
+    idle = [
+        name
+        for name, value in vars(Situation).items()
+        if inspect.isfunction(value) and not name.startswith("_") and name not in used | patched
+    ]
+    assert idle == []

@@ -519,7 +519,7 @@ PINNED_VERIFY = {
     "4": "1cc7f7cdd5c5eab35920cbce348baa1946162ce5325639fa47874de55d33bd2d",
     "5": "4c4f0fa389e985482ea818915a8dbf837dccc27b41688d25f183d39876b783a5",
     "4-skip-delete-swap": "92216c488968cecec2a7b920d3fb6b80ab369bb70f3b77d5e4a8930b3bd1bdee",
-    "4-skip-insert-rename": "42f0746cc6f1ab4f00189094248a6933f752a795f307465ed8d874d7c5492706",
+    "4-skip-insert-rename": "98228947b1a13f98d3ddef75010f72e18aa8c5f27cab224be473fe16f4b89762",
 }
 
 
