@@ -35,7 +35,7 @@ only: the allocator never consults it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .allocator import MoveLog
 from .model import InvariantError, Place, Situation, Violation
@@ -98,10 +98,10 @@ def potential(s: Situation) -> int:
 
 @dataclass(slots=True)
 class SettleInfo:
-    """One request's charge: its fresh coins, and any finding on them."""
+    """One request's charge: its fresh coins, and a list of findings on them if any."""
 
     injected: int = 0
-    findings: list[str] = field(default_factory=list)
+    findings: list[str] | tuple[()] = ()
 
 
 class CoinLedger:
@@ -143,9 +143,9 @@ class CoinLedger:
         fresh coins; a negative difference is discarded."""
         after = potential(s_after)
         net = log.iterations + after - self._balance
-        info = SettleInfo(injected=max(0, net))
+        info = SettleInfo(net if net > 0 else 0)
         if info.injected > self.budget:
-            info.findings.append(f"injected {info.injected} coins exceeds budget {self.budget}")
+            info.findings = [f"injected {info.injected} coins exceeds budget {self.budget}"]
         self._balance = after
         self.injected_total += info.injected
         self.consumed_total += log.iterations

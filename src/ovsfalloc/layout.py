@@ -2,14 +2,15 @@
 a position-ordered layout.
 
 A *place* of level ``l`` is an aligned leaf interval
-``[i*2**l, (i+1)*2**l)``.  :func:`scan_runs` walks a layout given as runs
+``[i*2**l, (i+1)*2**l)``.  :func:`scan_runs` reads a layout given as runs
 of contiguous equal-size pebbles, the form :class:`~ovsfalloc.model.Situation`
-stores, and finds in one pass every P1/P2/P3, alignment and overlap breach
-(see the ``model`` module for the properties) and the maximal free runs
-that the coin audit recounts.  The scan follows every checked request, so
-it keeps its state in local scalars and builds no value for a check that
-passes; hot paths build a ``Place`` as ``tuple.__new__(Place, (level,
-start))``, without the NamedTuple's Python-level ``__new__``.
+stores, and finds every P1/P2/P3, alignment and overlap breach (see the
+``model`` module for the properties) and the maximal free runs that the
+coin audit recounts.  The scan follows every checked request, so a clean
+layout is accepted in one pass over its runs that keeps local scalars
+alone; only a layout that fails it is walked pebble by pebble, to name
+each breach.  Hot paths build a ``Place`` as ``tuple.__new__(Place,
+(level, start))``, without the NamedTuple's Python-level ``__new__``.
 
 The allocator's walks over the same runs (:func:`site`, :func:`last`,
 :func:`closing`) hand back run indices, and :func:`respan` rewrites a
@@ -101,19 +102,50 @@ def scan_runs(runs, leaves: int, witness) -> PebbleScan:
     ``witness(i, k)``, the id of pebble ``k`` of run ``i``, is called only
     for a breach that names that pebble.
 
-    P2 and P3 are judged on a window of the previous two pebbles, kept as
-    scalars.  The violations are stably sorted by place start; at one
-    start, the pebbles' own alignment/overlap/P1 breaches come first, then
-    P2, then P3.  A scan with no breach sorts nothing.  Free runs follow a
-    running maximum end, so overlapping pebbles still leave only leaves
-    that no pebble covers.
-
-    A run's pebbles share one level, so a well-formed run, one that starts
-    at or after the covered prefix, is aligned and ends inside the tree, is
-    judged in one step: each of its pebbles has the color and the free
-    bandwidth before it of the first, no gap opens inside it, and P3
-    cannot fire there.  Any other run is walked one pebble per step.
+    A clean list is accepted run by run on scalars, reading no id: a run
+    starts at or after the end of the one before, holds a pebble and is
+    aligned, so its pebbles share a level, a color and the free bandwidth
+    before them; that bandwidth is below its size (P1); a white run is one
+    pebble after a black one (P2); a black run does not follow a white
+    pebble whose left neighbour has its level (P3); the last run ends
+    inside the tree.  On the first failed test, :func:`_walk_pebbles` walks
+    the whole list to name every breach.
     """
+    gaps: list[tuple[int, int, int]] = []  # as in ``_walk_pebbles``
+    low = uncovered = prev_end = 0
+    # the largest level so far, and the least level at which a run is black
+    # and breaks no P3: ``top``, or one more after a white pebble
+    top = floor = -1
+    for start, level, count in runs:
+        if start != prev_end:
+            if start < prev_end:
+                return _walk_pebbles(runs, leaves, witness)
+            gaps.append((prev_end, start, low))
+            low = level
+            uncovered += start - prev_end
+        elif level < low:
+            low = level
+        if count < 1 or start & ((1 << level) - 1) or uncovered >> level:
+            return _walk_pebbles(runs, leaves, witness)
+        if level >= floor:
+            top = floor = level
+        elif count > 1 or floor > top:  # P2 inside the run, or P2/P3 after a white pebble
+            return _walk_pebbles(runs, leaves, witness)
+        else:  # white
+            floor = top + 1
+        prev_end = start + (count << level)
+    if prev_end > leaves:
+        return _walk_pebbles(runs, leaves, witness)
+    return tuple.__new__(PebbleScan, ((), _free_runs(gaps, low, prev_end, leaves)))  # as for Place
+
+
+def _walk_pebbles(runs, leaves: int, witness) -> PebbleScan:
+    """:func:`scan_runs` of any run list, one pebble per step, naming every
+    breach.  P2 and P3 are judged on a window of the previous two pebbles,
+    kept as scalars.  The violations are stably sorted by place start; at
+    one start, the pebbles' own alignment/overlap/P1 breaches come first,
+    then P2, then P3.  Free runs follow a running maximum end, so
+    overlapping pebbles still leave only leaves that no pebble covers."""
     out: list[Violation] = []
     p2: list[Violation] = []
     p3: list[Violation] = []
@@ -132,45 +164,6 @@ def scan_runs(runs, leaves: int, witness) -> PebbleScan:
     prev_black = True
     for i, (start, level, count) in enumerate(runs):
         size = 1 << level
-        end = start + (count << level)
-        if prev_end <= start < end <= leaves and not start & (size - 1):
-            if start == prev_end:
-                if level < low:
-                    low = level
-            else:
-                gaps.append((prev_end, start, low))
-                low = level
-                uncovered += start - prev_end
-            black = top <= level
-            if uncovered >= size:  # the free bandwidth before the run
-                detail = f"free bandwidth {uncovered} >= {size}"
-                out += [
-                    Violation("P1", (witness(i, j),), Place(level, start + (j << level)), detail)
-                    for j in range(count)
-                ]
-            prev_end = end
-            if level > top:
-                top = level
-            if not prev_black:
-                if not black:
-                    p2.append(Violation("P2", (witness(p_i, p_k), witness(i, 0)), Place(level, start)))
-                elif pp_level == level:
-                    # no level above ``level`` precedes this pebble, so ``pp`` is black
-                    witnesses = (witness(pp_i, pp_k), witness(p_i, p_k), witness(i, 0))
-                    p3.append(Violation("P3", witnesses, Place(p_level, p_start)))
-            if count > 1:
-                if not black:  # a white pebble after each white pebble of the run
-                    p2 += [
-                        Violation("P2", (witness(i, j - 1), witness(i, j)), Place(level, start + (j << level)))
-                        for j in range(1, count)
-                    ]
-                pp_i, pp_k, pp_level = i, count - 2, level
-            else:
-                pp_i, pp_k, pp_level = p_i, p_k, p_level
-            p_i, p_k, p_level = i, count - 1, level
-            p_start = end - size
-            prev_black = black
-            continue
         for k in range(count):
             end = start + size
             covered = prev_end - uncovered  # overlap-clamped
@@ -212,10 +205,15 @@ def scan_runs(runs, leaves: int, witness) -> PebbleScan:
             p_start = start
             prev_black = black
             start = end
-    violations = ()
-    if out or p2 or p3:
-        violations = tuple(sorted(out + p2 + p3, key=lambda v: v.place.start))
-    # each gap sees the least level of every block after it: a suffix minimum
+    violations = tuple(sorted(out + p2 + p3, key=lambda v: v.place.start))
+    return tuple.__new__(PebbleScan, (violations, _free_runs(gaps, low, prev_end, leaves)))
+
+
+def _free_runs(gaps: list, low: int, prev_end: int, leaves: int) -> tuple:
+    """The free runs of a scan, each gap ``(start, end, before)`` with the
+    least level after it: a suffix minimum of the ``before`` levels (the
+    least between a gap and the one before), from ``low``, the least after
+    the last gap; the leaves from ``prev_end`` on have no pebble after them."""
     free: list[tuple[int, int, int | None]] = []
     for gap_start, gap_end, before in reversed(gaps):
         free.append((gap_start, gap_end, low))
@@ -224,7 +222,7 @@ def scan_runs(runs, leaves: int, witness) -> PebbleScan:
     free.reverse()
     if prev_end < leaves:
         free.append((prev_end, leaves, None))
-    return tuple.__new__(PebbleScan, (violations, tuple(free)))  # as for Place
+    return tuple(free)
 
 
 def site(runs: list, leaves: int, level: int) -> tuple[int, int, bool] | None:

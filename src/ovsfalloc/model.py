@@ -21,9 +21,10 @@ over the segment starts (see :class:`Situation`).  In a valid situation
 every level holds one contiguous black run and at most one white pebble,
 so that list is O(n) long and no part of the state is sized by ``2**n``.
 ``validate`` re-checks all of this (plus alignment and disjointness) in
-one walk over the segments, O(1) per segment
-(:func:`~ovsfalloc.layout.scan_runs`), which also yields the free runs
-that the coin audit recounts and is kept until the next mutation.
+one pass over the segments, O(1) per segment and reading no id
+(:func:`~ovsfalloc.layout.scan_runs`), and walks pebble by pebble only to
+name a breach; the scan yields the free runs that the coin audit
+recounts and is kept until the next mutation.
 
 The allocator works on segment indices: one walk of the segments
 (:func:`~ovsfalloc.layout.site`, ``last`` or ``closing``) finds its
@@ -538,8 +539,8 @@ class Situation:
 
     def pebble_scan(self) -> PebbleScan:
         """The :func:`~ovsfalloc.layout.scan_runs` result of the segments,
-        O(segments), at most once between two mutations; a witness id is
-        read, checked, only for a breach."""
+        O(segments) when valid, at most once between two mutations; a
+        witness id is read, checked, only for a breach."""
         scan = self._scan
         if scan is None:
             scan = self._scan = scan_runs(self._segs, self.leaves, self._witness)
@@ -579,5 +580,5 @@ class Situation:
 
     def validate(self) -> list[Violation]:
         """All P1/P2/P3, alignment and overlap breaches, position ordered,
-        as a fresh list; the walk behind it is kept until the next mutation."""
+        as a fresh list; the scan behind it is kept until the next mutation."""
         return list(self.pebble_scan().violations)

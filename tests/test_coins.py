@@ -12,9 +12,10 @@ from ovsfalloc.coins import (
     run_potential,
 )
 from ovsfalloc.coins import SettleInfo
-from ovsfalloc.model import Place, Situation
+from ovsfalloc.model import Situation
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace, parse_trace
+import reference
 from reference import required_coins
 
 
@@ -33,24 +34,13 @@ def test_required_coins_formula():
         assert run_potential(p, 2 * p, x.bit_length() - 1, 4) == coins
 
 
-def iter_places(start: int, end: int, cap_level: int):
-    """Reference: the greedy canonical decomposition of the free run
-    ``[start, end)``, each place halved from the whole tree until it is
-    aligned at its start and fits the run."""
-    q = start
-    while q < end:
-        align = (q & -q) if q else (1 << cap_level)
-        size = 1 << cap_level
-        while size > align or q + size > end:
-            size >>= 1
-        yield Place(size.bit_length() - 1, q)
-        q += size
-
-
-def test_iter_places_greedy_decomposition():
-    assert list(iter_places(1, 8, 4)) == [Place(0, 1), Place(1, 2), Place(2, 4)]
-    assert list(iter_places(0, 16, 4)) == [Place(4, 0)]
-    assert list(iter_places(6, 7, 4)) == [Place(0, 6)]
+def _run_places(n: int, start: int, end: int):
+    """The reference's canonical places of a height-``n`` tree whose one
+    free run is ``[start, end)``, every other leaf a unit pebble."""
+    s = Situation(n)
+    for pos in (*range(start), *range(end, 1 << n)):
+        s.place_pebble(0, pos)
+    return reference.Leaves(s).canonical_places()
 
 
 def test_run_potential_counts_the_reference_places():
@@ -59,23 +49,13 @@ def test_run_potential_counts_the_reference_places():
         leaves = 1 << n
         for start in range(leaves):
             for end in range(start + 1, leaves + 1):
-                places = list(iter_places(start, end, n))
+                places = _run_places(n, start, end)
                 for x_level in range(n + 1):
                     x = 1 << x_level
                     literal = sum(required_coins(p.size, x) for p in places)
                     assert run_potential(start, end, x_level, n) == literal, (
                         n, start, end, x_level,
                     )
-
-
-def _ref_potential(s: Situation) -> int:
-    """Φ(s) from the scan's free runs: one ``smallest_level_right`` per run."""
-    total = 0
-    for start, end, _ in s.pebble_scan().runs:
-        x_level = s.smallest_level_right(start)
-        if x_level is not None:
-            total += run_potential(start, end, x_level, s.n)
-    return total
 
 
 def test_closed_run_potential_matches_literal_count():
@@ -99,7 +79,7 @@ def test_potential_matches_per_run_reference(by_id):
         s = Situation(n)
         for request in trace.requests:
             apply(s, request)
-            assert potential(s) == _ref_potential(s), (n, s.to_pairs())
+            assert potential(s) == reference.Leaves(s).potential(), (n, s.to_pairs())
             states += 1
     assert states == 14 * 500
 

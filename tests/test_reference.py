@@ -95,6 +95,20 @@ def test_every_closure_state_matches_the_reference(n, depth, count):
         assert not agrees(s)
 
 
+@pytest.mark.parametrize(
+    "n, depth, most",
+    [(3, 9, 3), (4, 17, 5), (5, 33, 7), pytest.param(6, 65, 9, marks=pytest.mark.slow)],
+)
+def test_segment_counts_over_each_closure(n, depth, most):
+    # the counts the scan's cost follows, as measured (none is proved): the
+    # most segments in one state are 2n - 3, and no level holds three
+    states = _walk_states(n, depth)
+    assert max(len(s.segments()) for s in states) == most
+    for s in states:
+        levels = [level for _, level, _ in s.segments()]
+        assert all(levels.count(level) <= 2 for level in levels), s.segments()
+
+
 def _layouts(level, start):
     """Every set of disjoint aligned places inside the place ``(level,
     start)``, as ``(level, start)`` pairs."""
