@@ -254,10 +254,11 @@ def admit_insert(s: Situation, level: int) -> int:
 
 
 def take_last(s: Situation, level: int) -> tuple[int, int, int, int | None]:
-    """Remove the last pebble of ``level``, found and read as
-    ``s.last_of_level(level)`` finds it; return the index of the first
-    segment past its place, its id, its start, and the least level right
-    of it or None.  Refuses, with nothing changed, a level it cannot hold."""
+    """Remove the last pebble of ``level``, found by one
+    :func:`~ovsfalloc.layout.last` walk and its id read checked; return the
+    index of the first segment past its place, its id, its start, and the
+    least level right of it or None.  Refuses, with nothing changed, a
+    level it cannot hold."""
     if not 0 <= level <= s.n:
         raise RequestError(f"level {level} out of [0, {s.n}]")
     found = last(s._segs, level)

@@ -84,7 +84,7 @@ def potential(s: Situation) -> int:
     total = 0
     x_level = None  # least level of the segments right of this one
     right = s.leaves  # start of the segment right of this one
-    for start, level, count in reversed(s.segments()):
+    for start, level, count in reversed(s._segs):  # in place, as ``scan_runs`` reads them
         end = start + (count << level)
         if end < right and x_level is not None:
             total += closed_run_potential(end, right, x_level)

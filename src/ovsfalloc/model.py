@@ -35,8 +35,9 @@ freeness test reads the two neighbouring segments) or removed
 splice (``_splice`` over :func:`~ovsfalloc.layout.respan`, which also
 shifts the sorted baseline's runs in ``rotate_runs``); ``move_pebble``
 is one such splice of a source and a landing window.  The public
-queries (``insert_site``, ``last_of_level``, ``place_pebble``, ...) run
-the same walks and build a :class:`Pebble` only where they return one.
+queries (``first_free_place``, ``closing_position``,
+``rightmost_of_level``, ...) run the same walks and build a
+:class:`Pebble` only where they return one; no request calls them.
 
 A Situation is a self-contained value: instances share no mutable state,
 may be moved freely between threads, and a single instance must not be
@@ -46,7 +47,6 @@ mutated concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -95,9 +95,6 @@ class Pebble(NamedTuple):
     @property
     def place(self) -> Place:
         return tuple.__new__(Place, (self.level, self.start))  # no NamedTuple __new__ call
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 _START = itemgetter(0)
@@ -460,15 +457,9 @@ class Situation:
         return None if i == len(segs) else self._read(segs[i][0], segs[i][1])
 
     def rightmost_of_level(self, level: int) -> Pebble | None:
-        found = self.last_of_level(level)
-        return None if found is None else found[0]
-
-    def last_of_level(self, level: int) -> tuple[Pebble, int | None] | None:
-        """The last pebble of ``level``, read checked, and the least level
-        of the pebbles right of it (None if there are none), in one
-        right-to-left walk; None when no pebble has ``level``."""
+        """The last pebble of ``level``, read checked, or None."""
         found = last(self._segs, level)
-        return None if found is None else (self._read(found[1], level), found[2])
+        return None if found is None else self._read(found[1], level)
 
     def smallest_level_right(self, pos: int) -> int | None:
         """Level of the smallest pebble starting strictly right of ``pos``."""
@@ -512,22 +503,6 @@ class Situation:
             raise RequestError(f"level {level} out of [0, {self.n}]")
         found = site(self._segs, self.leaves, level)
         return None if found is None else Place(level, found[1])
-
-    def insert_site(self, level: int) -> tuple[int, Pebble | None, bool] | None:
-        """``(start, left, black)`` in one walk: the start of
-        :meth:`first_free_place`, the pebble left of it, read checked, and
-        its rule C color (True when there is no left pebble); None when no
-        place of ``level`` is free."""
-        if not 0 <= level <= self.n:
-            raise RequestError(f"level {level} out of [0, {self.n}]")
-        found = site(self._segs, self.leaves, level)
-        if found is None:
-            return None
-        i, start, black = found
-        if not i:
-            return start, None, True
-        first, lv, count = self._segs[i - 1]
-        return start, self._read(first + ((count - 1) << lv), lv), black
 
     def closing_position(self, level: int) -> int | None:
         """Position after the last black pebble of ``level``; if there is

@@ -1,7 +1,7 @@
 """Brute-force oracles and exhaustive small-instance verification.
 
 Everything here recomputes answers by plain scans over the pebble list,
-independent of the indexed query structures, so oracle/implementation
+independent of the segment list the allocator walks, so oracle/allocator
 disagreements surface as failures.  One position-ordered pass over
 ``s.pebbles()`` (``_scan``) yields the pebbles and their rule C colors,
 the maximal free gaps between them with a running count of the free
@@ -10,7 +10,10 @@ last pebble and least level right of that pebble, and the black
 contiguity breaks.  Every scan answer is read from that pass, a count
 of free leaves by one bisection into the running counts, so a pass
 costs O(pebbles + n) and nothing is sized by ``2**n``.
-``structural_failures`` makes one such pass per call.
+``structural_failures`` makes one such pass per call, and compares it
+with the three segment walks a request runs, :func:`~ovsfalloc.layout.site`,
+``last`` and ``closing``, at every level: each field a walk returns,
+its segment index read as the pebbles on either side of it.
 
 ``exhaustive_verify`` is one breadth-first walk over every admissible
 request sequence up to a depth bound.  Every edge (one request from one
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import allocator
+from . import allocator, layout
 from .allocator import (
     DELETE_LEVEL, EXIT_END, EXIT_NO_FIT, INSERT, PLACE_DIRECT, PLACE_OVER_SMALL, ROTATE_PAIR,
     SHUFFLE_BLACK, SHUFFLE_WHITE, Request, apply,
@@ -63,17 +66,20 @@ _FIRST = itemgetter(0)
 
 class _Scan(NamedTuple):
     """What the one pass of :func:`_scan` yields.  A "per level" list is
-    indexed by level, 0 to n; "next" is the index of the pebble right
-    after a gap or place.  A white pebble's own checks need the whole
-    pass, so ``trailing`` holds its index where they belong."""
+    indexed by level, 0 to n; "next" is the index of the first pebble
+    past a gap or place, or from a position on.  A white pebble's own
+    checks need the whole pass, so ``trailing`` holds its index where
+    they belong."""
 
     pebs: list[Pebble]
     colors: list[bool]  # rule C, per pebble: True = black, no strictly bigger pebble earlier
     whites: list[Pebble]
     gaps: list[tuple[int, int, int, int]]  # maximal free runs: (start, end, free before, next)
-    first_free: list  # per level: ((level, start), free before, next), or None
-    closing: list[int | None]  # per level: its last black end, else first bigger start, or None
-    last: list  # per level: (its last pebble, least level right of it or None), or None
+    first_free: list  # per level: (start, free before, next), or None
+    # per level: (its last black end, else first bigger start; next; the
+    # largest level before it or -1), or None
+    closing: list
+    last: list  # per level: (index of its last pebble, least level right of it or None), or None
     breaks: list[tuple[int, str]]  # (level, text) of each black contiguity break found
     trailing: list  # position ordered: failed trailing-gap checks and white pebbles' indexes
 
@@ -91,7 +97,7 @@ def _scan(s: Situation) -> _Scan:
     colors: list[bool] = []
     whites: list[Pebble] = []
     gaps: list[tuple[int, int, int, int]] = []
-    closing: list[int | None] = [None] * levels
+    closing: list = [None] * levels
     last_index: dict[int, int] = {}  # level -> index of its last pebble, in the order of those
     breaks: list[tuple[int, str]] = []
     trailing: list = []
@@ -120,10 +126,10 @@ def _scan(s: Situation) -> _Scan:
                 breaks.append((level, f"black level-{level} pebbles not contiguous: {black_start}, {start}"))
             black_level = level
             black_start = start
-            closing[level] = start + size
+            closing[level] = (start + size, i + 1, level)
             if level > biggest:  # the first pebble bigger than the levels between
                 for lower in range(biggest + 1, level):
-                    closing[lower] = start
+                    closing[lower] = (start, i, biggest)
                 biggest = level
         else:
             whites.append(pebble)
@@ -155,13 +161,13 @@ def _scan(s: Situation) -> _Scan:
             start = (lo + size - 1) & -size
             if start + size > hi:
                 break
-            first.append(((level, start), free + start - lo, k))
+            first.append((start, free + start - lo, k))
             level += 1
     first += [None] * (levels - level)
     last: list = [None] * levels
     low = None
     for level in reversed(last_index):  # by their last pebble, right to left
-        last[level] = (pebs[last_index[level]], low)
+        last[level] = (last_index[level], low)
         if low is None or level < low:
             low = level
     return _Scan(pebs, colors, whites, gaps, first, closing, last, breaks, trailing)
@@ -176,6 +182,24 @@ def _free_until(gaps: list[tuple[int, int, int, int]], pos: int) -> int:
     return free + (hi if hi < pos else pos) - lo
 
 
+def _seg_cut(segs, i: int):
+    """The starts either side of the cut before segment ``i``: of that
+    segment and of the last pebble of the one before (None where there is
+    none); None for an index outside ``0..len(segs)``."""
+    if not 0 <= i <= len(segs):
+        return None
+    after = segs[i][0] if i < len(segs) else None
+    if not i:
+        return after, None
+    first, level, count = segs[i - 1]
+    return after, first + ((count - 1) << level)
+
+
+def _peb_cut(pebs: list[Pebble], k: int):
+    """The starts of pebble ``k`` and of the one before it (None where there is none)."""
+    return (pebs[k].start if k < len(pebs) else None), (pebs[k - 1].start if k else None)
+
+
 # ----------------------------------------------------------------------
 # structural properties of valid situations
 
@@ -185,7 +209,7 @@ def structural_failures(s: Situation) -> list[str]:
 
     Assumes ``s.validate()`` already came back empty; returns human-
     readable descriptions of any failed property, and of any answer of the
-    situation's indexed queries that disagrees with the scan.
+    walks over the situation's segments that disagrees with the scan.
     """
     pebs, colors, whites, gaps, first_free, closing, last, breaks, trailing = _scan(s)
     leaves = s.leaves
@@ -222,35 +246,29 @@ def structural_failures(s: Situation) -> list[str]:
                 out.append(f"white {other.place} inside the size window of {pebble.place}")
         # everything between the doubled-size closing position and the
         # backing black pebble is solidly covered, with no white starts
-        if pebble.level + 1 <= s.n:
-            j = closing[pebble.level + 1]
-            if j is not None and j < left.start:
-                if _free_until(gaps, left.start) > _free_until(gaps, j):
-                    out.append(f"free leaf between {j} and {left.start} (window of white {pebble.place})")
-                for other in whites:
-                    if j <= other.start < left.start:
-                        out.append(f"white {other.place} starts inside [{j}, {left.start})")
+        found = closing[pebble.level + 1] if pebble.level < s.n else None
+        if found is not None and found[0] < left.start:
+            j = found[0]
+            if _free_until(gaps, left.start) > _free_until(gaps, j):
+                out.append(f"free leaf between {j} and {left.start} (window of white {pebble.place})")
+            for other in whites:
+                if j <= other.start < left.start:
+                    out.append(f"white {other.place} starts inside [{j}, {left.start})")
 
     free_total = s.total_free_bandwidth()
-    places: list = []  # the first free place of each level, and its insert site
-    sites: list = []
     for level, found in enumerate(first_free):
         if found is None:
             if free_total >= (1 << level):
                 out.append(f"bandwidth {free_total} fits level {level} but no free place")
-            places.append(None)
-            sites.append(None)
             continue
-        place, free, k = found  # pebs[:k] start left of the place
+        start, free, k = found  # pebs[:k] start left of the place
         if free >= (1 << level):
-            out.append(f"free bandwidth before first free {Place(*place)} >= its size")
+            out.append(f"free bandwidth before first free {Place(level, start)} >= its size")
         if k < len(pebs) and (not colors[k] or pebs[k].level <= level):
             out.append(
-                f"right neighbor {pebs[k].place} of first free {Place(*place)} "
+                f"right neighbor {pebs[k].place} of first free {Place(level, start)} "
                 "not a bigger black pebble"
             )
-        places.append(place)
-        sites.append((place[1], pebs[k - 1], colors[k - 1]) if k else (place[1], None, True))
 
     if pebs:
         trimmed = s.copy()
@@ -258,28 +276,29 @@ def structural_failures(s: Situation) -> list[str]:
         if trimmed.validate():
             out.append("removing the last pebble broke validity")
 
-    for pebble, black in zip(pebs, colors):
-        if s.is_black(pebble.id) != black:
-            out.append(f"color disagreement at {pebble.place}")
-    # each query's answers at every level, compared at once and read level
+    # the walks a request runs, every field at every level, a segment index
+    # read as the starts either side of it; compared at once, and read level
     # by level only when they differ
+    segs = s.segments()
     levels = range(s.n + 1)
-    answers = (
-        ("first_free_place", [s.first_free_place(level) for level in levels], places),
-        ("insert_site", [s.insert_site(level) for level in levels], sites),
-        ("last_of_level", [s.last_of_level(level) for level in levels], last),
-        ("closing_position", [s.closing_position(level) for level in levels], closing),
+    sites = [layout.site(segs, leaves, level) for level in levels]
+    lasts = [layout.last(segs, level) for level in levels]
+    closings = [layout.closing(segs, level) for level in levels]
+    answers = (  # (walk, its answers, the scan's); ``f and ...`` keeps a None
+        ("site", [f and (f[1], _seg_cut(segs, f[0]), f[2]) for f in sites],
+         [f and (f[0], _peb_cut(pebs, f[2]), not f[2] or colors[f[2] - 1]) for f in first_free]),
+        ("last", [f and (f[1], f[2], _seg_cut(segs, f[0] + 1)) for f in lasts],
+         [f and (pebs[f[0]].start, f[1], _peb_cut(pebs, f[0] + 1)) for f in last]),
+        ("closing", [f and (f[1], _seg_cut(segs, f[0]), f[2]) for f in closings],
+         [f and (f[0], _peb_cut(pebs, f[1]), f[2]) for f in closing]),
     )
     if any(got != want for _, got, want in answers):
         out += [
-            f"{query} disagreement at level {level}"
+            f"{walk} disagreement at level {level}"
             for level in levels
-            for query, got, want in answers
+            for walk, got, want in answers
             if got[level] != want[level]
         ]
-    for pos in range(0, leaves + 1, max(1, leaves // 8)):
-        if s.free_bandwidth_before(pos) != _free_until(gaps, pos):
-            out.append(f"free_bandwidth_before disagreement at {pos}")
     return out
 
 

@@ -3,9 +3,10 @@ compare the program with.
 
 Every answer here comes from the pebble list in position order and from
 a leaf array, one byte per leaf, set where a pebble covers it.  Nothing
-reads segments, free gaps or running counts, so the structures the
-program indexes by share no code with what they are checked against.  A
-state costs O(2**n) here, so the reference serves small trees.
+reads free gaps or running counts, and the segments only where a walk's
+answer is a segment index, counted from their starts, so the structures
+the program indexes by share no code with what they are checked against.
+A state costs O(2**n) here, so the reference serves small trees.
 
 The definitions (the ``model`` and ``coins`` modules state them too):
 
@@ -28,6 +29,7 @@ or run past the tree's end.
 
 from __future__ import annotations
 
+from ovsfalloc import layout
 from ovsfalloc.layout import PebbleScan, Place, Violation
 
 
@@ -116,7 +118,7 @@ def required_coins(p: int, x: int) -> int:
 
 class Leaves:
     """One situation read per leaf: its pebbles, their colours and its
-    leaf array, and every answer the program's queries must give."""
+    leaf array, and every answer the program's queries and walks must give."""
 
     def __init__(self, s):
         self.s = s
@@ -152,25 +154,40 @@ class Leaves:
                 first_bigger = p.start
         return first_bigger if last_black is None else last_black
 
-    def insert_site(self, level: int):
-        """``(start, left, black)``: the first free place's start, the
-        pebble left of it and that pebble's colour (True with none)."""
+    def _segments_before(self, pos: int) -> int:
+        """The situation's segments that start left of ``pos``."""
+        return sum(seg[0] < pos for seg in self.s.segments())
+
+    def site(self, level: int):
+        """What ``layout.site`` must return: ``(i, start, black)``, the
+        first free place's start, the segments left of it and the colour
+        of the pebble left of it (True with none)."""
         place = self.first_free_place(level)
         if place is None:
             return None
-        left = [i for i, p in enumerate(self.pebs) if p.start < place.start]
-        if not left:
-            return place.start, None, True
-        return place.start, self.pebs[left[-1]], self.black[left[-1]]
+        left = [b for p, b in zip(self.pebs, self.black) if p.start < place.start]
+        return self._segments_before(place.start), place.start, not left or left[-1]
 
-    def last_of_level(self, level: int):
-        """``(pebble, least level right of it)`` for the last pebble of
-        ``level``, or None."""
+    def last(self, level: int):
+        """What ``layout.last`` must return: ``(i, start, low)``, the last
+        pebble of ``level``, the segment that holds it and the least level
+        of the pebbles right of it (None with none)."""
         at = [i for i, p in enumerate(self.pebs) if p.level == level]
         if not at:
             return None
-        right = self.pebs[at[-1] + 1 :]
-        return self.pebs[at[-1]], min((p.level for p in right), default=None)
+        start = self.pebs[at[-1]].start
+        low = min((p.level for p in self.pebs[at[-1] + 1 :]), default=None)
+        return self._segments_before(start + 1) - 1, start, low
+
+    def closing(self, level: int):
+        """What ``layout.closing`` must return: ``(j, cp, top)``, the
+        closing position, the segments left of it and the largest level of
+        the pebbles left of it (-1 with none)."""
+        cp = self.closing_position(level)
+        if cp is None:
+            return None
+        top = max((p.level for p in self.pebs if p.start < cp), default=-1)
+        return self._segments_before(cp), cp, top
 
     def canonical_places(self) -> list[Place]:
         """The maximal free aligned places, in position order: a free place
@@ -200,8 +217,9 @@ class Leaves:
     def structural_failures(self) -> list[str]:
         """What ``oracle.structural_failures`` must return, message for
         message and in its order.  The agreement messages compare the
-        situation's own query answers with the ones above; the free
-        bandwidth a level must fit is the situation's own total, as there."""
+        program's walks over the situation's segments, read from ``layout``,
+        with the ones above; the free bandwidth a level must fit is the
+        situation's own total, as there."""
         s, pebs, black, n, leaves = self.s, self.pebs, self.black, self.n, self.leaves
         whites = [p for p, b in zip(pebs, black) if not b]
         out: list[str] = []
@@ -248,8 +266,8 @@ class Leaves:
 
         free_total = s.total_free_bandwidth()
         levels = range(n + 1)
-        places = [self.first_free_place(level) for level in levels]
-        for level, place in zip(levels, places):
+        for level in levels:
+            place = self.first_free_place(level)
             if place is None:
                 if free_total >= (1 << level):
                     out.append(f"bandwidth {free_total} fits level {level} but no free place")
@@ -265,19 +283,13 @@ class Leaves:
         if pebs and violations(pebs[:-1], leaves):
             out.append("removing the last pebble broke validity")
 
-        for pebble, b in zip(pebs, black):
-            if s.is_black(pebble.id) != b:
-                out.append(f"color disagreement at {pebble.place}")
+        segs = s.segments()
         for level in levels:
-            for query, want in (
-                ("first_free_place", places[level]),
-                ("insert_site", self.insert_site(level)),
-                ("last_of_level", self.last_of_level(level)),
-                ("closing_position", self.closing_position(level)),
+            for walk, got, want in (
+                ("site", layout.site(segs, leaves, level), self.site(level)),
+                ("last", layout.last(segs, level), self.last(level)),
+                ("closing", layout.closing(segs, level), self.closing(level)),
             ):
-                if getattr(s, query)(level) != want:
-                    out.append(f"{query} disagreement at level {level}")
-        for pos in range(0, leaves + 1, max(1, leaves // 8)):
-            if s.free_bandwidth_before(pos) != self.free_before(pos):
-                out.append(f"free_bandwidth_before disagreement at {pos}")
+                if got != want:
+                    out.append(f"{walk} disagreement at level {level}")
         return out

@@ -1,6 +1,5 @@
 import ast
 import collections
-import dataclasses
 import inspect
 import pickle
 import random
@@ -10,9 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovsfalloc.allocator import INSERT, apply, insert, take_last
+from ovsfalloc.allocator import INSERT, apply, delete_last, insert, take_last
 from ovsfalloc.baseline import baseline_delete, baseline_insert
-from ovsfalloc.layout import scan_runs
+from ovsfalloc.layout import last, scan_runs, site
 from ovsfalloc.model import (
     BLACK,
     WHITE,
@@ -286,10 +285,15 @@ def test_pebbles_are_values():
     first = s.pebble(ids[(2, 0)])
     s.relabel_pebble(first.id, 99)
     assert first.id == ids[(2, 0)] and s.pebble_at(0).id == 99
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        held.start = 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        first.id = 7
+
+
+@pytest.mark.parametrize("value", [Pebble(1, 2, 4), Place(2, 4)], ids=["Pebble", "Place"])
+def test_pebbles_and_places_refuse_assignment(value):
+    # a NamedTuple has no instance dict: neither a field nor a new attribute can be set
+    for name in (*value._fields, "colour"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    assert not hasattr(value, "colour")
 
 
 def test_height_bounds():
@@ -385,28 +389,34 @@ def _state(s):
 
 @pytest.mark.parametrize("by_id", [False, True])
 def test_one_walk_reads_match_the_reads_they_replace(by_id):
-    # insert_site and last_of_level against the queries the allocator
-    # composed before, and take_last against remove_pebble of the last
+    # the walks site and last against the queries a request composed
+    # before, and take_last against remove_pebble of the last
     states = 0
     for s in _trace_states(by_id):
+        segs = s.segments()
         for level in range(s.n + 1):
             place = s.first_free_place(level)
-            site = None
+            found = None
             if place is not None:
                 left = s.pebble_before(place.start)
-                site = (place.start, left, left is None or s.is_black(left.id))
-            assert s.insert_site(level) == site
+                i = sum(seg[0] < place.start for seg in segs)  # the first segment past the place
+                found = (i, place.start, left is None or s.is_black(left.id))
+            assert site(s._segs, s.leaves, level) == found
 
-            last = s.rightmost_of_level(level)
-            found = None if last is None else (last, s.smallest_level_right(last.start))
-            assert s.last_of_level(level) == found
+            starts = s.level_starts(level)
+            victim = s.pebble_at(starts[-1]) if starts else None
+            found = None
+            if victim is not None:
+                i = sum(seg[0] <= victim.start for seg in segs) - 1  # the segment it ends
+                found = (i, victim.start, s.smallest_level_right(victim.start))
+            assert last(s._segs, level) == found
             walked = s.copy()
-            if last is not None:
+            if victim is not None:
                 composed = s.copy()
                 g, pid, start, low = take_last(walked, level)
-                assert (pid, start, low) == (last.id, last.start, found[1])
+                assert (pid, start, low) == (victim.id, victim.start, found[2])
                 assert g == sum(seg[0] < start for seg in walked._segs)  # the first segment past it
-                composed.remove_pebble(last.id)
+                composed.remove_pebble(victim.id)
                 assert _state(walked) == _state(composed)
             else:
                 with pytest.raises(RequestError):
@@ -419,16 +429,17 @@ def test_one_walk_reads_match_the_reads_they_replace(by_id):
 @pytest.mark.parametrize(
     "start,walk",
     [
-        (8, lambda s: s.insert_site(0)),  # left of the first free unit place, 10
-        (40, lambda s: s.insert_site(3)),  # left of the first free 8@48
-        (4, lambda s: s.last_of_level(2)),
-        (40, lambda s: s.last_of_level(3)),
+        (8, lambda s: insert(s, 0)),  # left of the first free unit place, 10
+        (40, lambda s: insert(s, 3)),  # left of the first free 8@48
+        (4, lambda s: delete_last(s, 2)),
+        (40, lambda s: delete_last(s, 3)),
         (4, lambda s: take_last(s, 2)),
         (40, lambda s: take_last(s, 3)),
     ],
 )
 def test_one_walk_reads_refuse_a_stray_copy(start, walk):
-    # the id map puts the pebble each walk reads one leaf short of its start
+    # the id map puts the pebble each request reads after its walk one leaf
+    # short of its start: the read, through Situation._id, refuses it
     s = _valid_state()
     s._start_of[s._id_at[start]] = start - 1
     before = _state(s)
@@ -438,13 +449,14 @@ def test_one_walk_reads_refuse_a_stray_copy(start, walk):
 
 
 def test_remove_last_refuses_a_stray_id_copy():
-    # the id map puts the last pebble at a free start: the walk that
-    # take_last shares with last_of_level refuses it in both
+    # the id map puts the last pebble at a free start: the checked id read
+    # that take_last shares with insert's read of the pebble left of the
+    # first free 8@48 refuses it in both
     s = _valid_state()
     s._start_of[s._id_at[40]] = 48
     before = _state(s)
     with pytest.raises(InvariantError):
-        s.last_of_level(3)
+        insert(s, 3)
     with pytest.raises(InvariantError):
         take_last(s, 3)
     assert _state(s) == before

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import sys
@@ -7,7 +8,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovsfalloc import allocator, oracle
+from ovsfalloc import allocator, layout, oracle
 from ovsfalloc.allocator import apply
 from ovsfalloc.cli import main
 from ovsfalloc.coins import CoinLedger
@@ -16,7 +17,7 @@ from ovsfalloc.oracle import exhaustive_verify, structural_failures
 from ovsfalloc.replay import replay
 from ovsfalloc.workloads import gen_random_trace, parse_trace
 from reference import Leaves
-from test_reference import agrees
+from test_reference import _walk_states, agrees
 
 
 def build(n, pebs):
@@ -75,23 +76,64 @@ def test_structural_failures_flag_broken_states():
     assert any("not 0" in p for p in problems)
 
 
+def _off(field):
+    """A walk's answer with field ``field`` wrong: a bool flipped, a number
+    or a missing low one more."""
+
+    def wrong(found):
+        if found is None:
+            return None
+        value = found[field]
+        return found[:field] + (not value if isinstance(value, bool) else (value or 0) + 1,) + found[field + 1:]
+
+    return wrong
+
+
+WALK_FIELDS = {"site": ("i", "start", "black"), "last": ("i", "start", "low"), "closing": ("j", "cp", "top")}
+
+
 @pytest.mark.parametrize(
     "walk,wrong",
     [
-        # the pebble left of the place is reported black, or missing
-        ("insert_site", lambda site: site and (site[0], site[1], not site[2])),
-        ("insert_site", lambda site: site and (site[0], None, True)),
-        # the least level right of the last pebble is off by one, or missing
-        ("last_of_level", lambda found: found and (found[0], (found[1] or 0) + 1)),
-        ("last_of_level", lambda found: None),
-    ],
+        ("site", lambda found: found and (0, found[1], True)),  # no pebble left of the place
+        ("last", lambda found: None),
+    ]
+    + [pytest.param(walk, _off(k), id=f"{walk}-{name}") for walk, names in WALK_FIELDS.items() for k, name in enumerate(names)],
 )
 def test_structural_failures_check_the_one_walk_reads(monkeypatch, walk, wrong):
-    s = build(4, [(2, 0), (1, 2), (4, 4), (2, 8)])
-    real = getattr(Situation, walk)
-    monkeypatch.setattr(Situation, walk, lambda self, level: wrong(real(self, level)))
-    problems = structural_failures(s)
-    assert problems and all(p.startswith(f"{walk} disagreement at level ") for p in problems)
+    # each field a walk returns, made wrong as structural_failures reads it,
+    # is flagged as that walk's disagreement and nothing else, in the
+    # reference's words
+    real = getattr(layout, walk)
+    states = _walk_states(4, 17)
+    monkeypatch.setattr(layout, walk, lambda *args: wrong(real(*args)))
+    flagged = 0
+    for s in states:
+        problems = structural_failures(s)
+        assert all(p.startswith(f"{walk} disagreement at level ") for p in problems), problems
+        assert problems == Leaves(s).structural_failures()
+        flagged += bool(problems)
+    assert flagged > len(states) // 2
+
+
+def test_structural_failures_run_the_walks_and_no_bench_query(monkeypatch):
+    # each walk once per level of every state, and none of the queries
+    # only the bench reads, nor a pebble resolved by id
+    calls = collections.Counter()
+    for owner, names in (
+        (Situation, ("is_black", "first_free_place", "closing_position", "free_bandwidth_before", "pebble")),
+        (layout, ("site", "last", "closing")),
+    ):
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(owner, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+    states = _walk_states(4, 17)
+    for s in states:
+        assert structural_failures(s) == []
+    assert calls == {walk: 5 * len(states) for walk in ("site", "last", "closing")}
 
 
 def test_exhaustive_tiny_all_pass():
@@ -401,7 +443,7 @@ def test_queries_reject_out_of_range_arguments():
     for pos in (-1, 9):
         with pytest.raises(RequestError, match=rf"position {pos} out of \[0, 8\]"):
             s.free_bandwidth_before(pos)
-    for query in (s.first_free_place, s.insert_site, s.closing_position):
+    for query in (s.first_free_place, s.closing_position):
         for level in (-1, s.n + 1, 10**6):
             with pytest.raises(RequestError, match=rf"level {level} out of \[0, 3\]"):
                 query(level)

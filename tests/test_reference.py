@@ -1,13 +1,14 @@
 """The program against the per-leaf reference of ``reference.py``.
 
 Every answer (``validate``, the structural oracle and the fields of its
-scan, Φ and the P4 audit, the situation's queries) is compared on every
-state of the n=3, 4 and 5 closures, on every layout of disjoint aligned
-places up to height 3 and on random situations; ``test_oracle`` adds the
-states of random traces, ``test_model`` random layouts built by moves,
-and ``test_scan_reference`` the run scan on raw run lists.  The planted
-query faults must be flagged by ``structural_failures``, in the
-reference's words.
+scan, Φ and the P4 audit, the queries only the bench reads) is compared
+on every state of the n=3, 4 and 5 closures, on every layout of disjoint
+aligned places up to height 3 and on random situations; ``test_oracle``
+adds the states of random traces, ``test_model`` random layouts built by
+moves, and ``test_scan_reference`` the run scan on raw run lists.  A
+fault planted into a walk a request runs must be flagged by
+``structural_failures``, in the reference's words, and one planted into
+a bench-only query by ``agrees``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import pytest
 
 import reference
-from ovsfalloc import oracle
+from ovsfalloc import layout, oracle
 from ovsfalloc.coins import CoinLedger, potential
 from ovsfalloc.model import Place, Situation
 from ovsfalloc.oracle import _free_until, _scan, exhaustive_verify, structural_failures
@@ -44,14 +45,27 @@ def agrees(s: Situation) -> bool:
     for level in range(n + 1):
         place = ref.first_free_place(level)
         if place is not None:
-            place = (tuple(place), ref.free_before(place.start), sum(p.start < place.start for p in pebs))
+            place = (place.start, ref.free_before(place.start), sum(p.start < place.start for p in pebs))
         assert scan.first_free[level] == place
-        assert scan.closing[level] == ref.closing_position(level)
-        assert scan.last[level] == ref.last_of_level(level)
+        closing = ref.closing(level)
+        if closing is not None:
+            _, cp, top = closing
+            closing = (cp, sum(p.start < cp for p in pebs), top)
+        assert scan.closing[level] == closing
+        last = ref.last(level)
+        if last is not None:
+            last = ([p.start for p in pebs].index(last[1]), last[2])
+        assert scan.last[level] == last
     for pos in range(leaves + 1):
         assert _free_until(scan.gaps, pos) == ref.free_before(pos)
-        assert s.free_bandwidth_before(pos) == ref.free_before(pos)
     assert s.total_free_bandwidth() == ref.free_total()
+    # the queries no request runs, which only the bench reads
+    assert [s.is_black(p.id) for p in pebs] == ref.black
+    for level in range(n + 1):
+        assert s.first_free_place(level) == ref.first_free_place(level)
+        assert s.closing_position(level) == ref.closing_position(level)
+    for pos in range(leaves + 1):
+        assert s.free_bandwidth_before(pos) == ref.free_before(pos)
     # Φ, in closed form and by the audit's recount
     assert potential(s) == ref.potential()
     assert CoinLedger(s).audit(s) == []
@@ -189,31 +203,42 @@ def test_misaligned_situations_match_the_reference():
     assert short_gaps > 100
 
 
+# faults planted into what ``structural_failures`` reads (a walk, as it
+# calls it through ``layout``, or the situation's free bandwidth), and into
+# the queries only the bench reads, which ``agrees`` compares instead
 PLANTS = {
-    "is_black": lambda real: lambda self, pid: not real(self, pid),
-    "first_free_place": lambda real: lambda self, level: (
+    "site": (layout, lambda real: lambda runs, leaves, level: (
+        (lambda found: found and (found[0], found[1], not found[2]))(real(runs, leaves, level))
+    )),
+    "last": (layout, lambda real: lambda runs, level: (
+        (lambda found: found and (found[0], found[1], (found[2] or 0) + 1))(real(runs, level))
+    )),
+    "total_free_bandwidth": (Situation, lambda real: lambda self: real(self) + 8),
+    "is_black": (Situation, lambda real: lambda self, pid: not real(self, pid)),
+    "first_free_place": (Situation, lambda real: lambda self, level: (
         None if real(self, level) is not None else Place(level, 0)
-    ),
-    "insert_site": lambda real: lambda self, level: (
-        (lambda site: site and (site[0], site[1], not site[2]))(real(self, level))
-    ),
-    "last_of_level": lambda real: lambda self, level: (
-        (lambda found: found and (found[0], (found[1] or 0) + 1))(real(self, level))
-    ),
-    "closing_position": lambda real: lambda self, level: (real(self, level) or 0) + 1,
-    "free_bandwidth_before": lambda real: lambda self, pos: real(self, pos) + (pos % 3 == 1),
-    "total_free_bandwidth": lambda real: lambda self: real(self) + 8,
+    )),
+    "closing_position": (Situation, lambda real: lambda self, level: (real(self, level) or 0) + 1),
+    "free_bandwidth_before": (Situation, lambda real: lambda self, pos: real(self, pos) + (pos % 3 == 1)),
 }
+BENCH_ONLY = {"is_black", "first_free_place", "closing_position", "free_bandwidth_before"}
 
 
-@pytest.mark.parametrize("query", sorted(PLANTS))
-def test_planted_query_faults_match_the_reference(monkeypatch, query):
+@pytest.mark.parametrize("name", sorted(PLANTS))
+def test_planted_query_faults_match_the_reference(monkeypatch, name):
     states = _walk_states(4, 17)
-    real = vars(Situation)[query]
-    monkeypatch.setattr(Situation, query, PLANTS[query](real))
-    failing = 0
+    owner, plant = PLANTS[name]
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    caught = 0
     for s in states:
         problems = structural_failures(s)
         assert problems == reference.Leaves(s).structural_failures()
-        failing += bool(problems)
-    assert failing > len(states) // 2
+        if name in BENCH_ONLY:  # no structural check reads it
+            assert problems == []
+            try:
+                agrees(s)
+            except AssertionError:
+                caught += 1
+        else:
+            caught += bool(problems)
+    assert caught > len(states) // 2
